@@ -13,6 +13,7 @@
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/linalg/matrix.hpp"
+#include "csecg/linalg/sign_matrix.hpp"
 #include "csecg/parallel/thread_pool.hpp"
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
@@ -127,6 +128,7 @@ BENCHMARK(BM_GemvSweep)
     ->Args({64, 64})
     ->Args({96, 512})
     ->Args({240, 512})
+    ->Args({256, 512})
     ->Args({256, 256})
     ->Args({512, 512})
     ->Args({1024, 1024});
@@ -148,7 +150,56 @@ BENCHMARK(BM_GemvTransposeSweep)
     ->Args({64, 64})
     ->Args({96, 512})
     ->Args({240, 512})
+    ->Args({256, 512})
     ->Args({512, 512});
+
+// The same products on the sign-table kernels LinearOperator::from_matrix
+// picks for ±1 chip matrices, at the codec's m = 96, 240 and the normal-CS
+// reference m = 256.  items_processed counts the dense flop-equivalents
+// (2mn) so the rates compare directly with the sweeps above.
+linalg::SignMatrix chip_matrix(std::size_t rows, std::size_t cols) {
+  rng::Xoshiro256 g(7);
+  linalg::Matrix a(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      a(i, j) = rng::normal(g) < 0.0 ? -1.0 : 1.0;
+    }
+  }
+  return *linalg::SignMatrix::from_dense(a);
+}
+
+void BM_SignGemv(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const linalg::SignMatrix a = chip_matrix(m, n);
+  linalg::Vector x(n, 1.0);
+  linalg::Vector y(m);
+  for (auto _ : state) {
+    linalg::multiply_into(a, x, y);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * n));
+}
+BENCHMARK(BM_SignGemv)->Args({96, 512})->Args({240, 512})->Args({256, 512});
+
+void BM_SignGemvTranspose(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const linalg::SignMatrix a = chip_matrix(m, n);
+  linalg::Vector y(m, 1.0);
+  linalg::Vector x(n);
+  for (auto _ : state) {
+    linalg::multiply_transpose_into(a, y, x);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * n));
+}
+BENCHMARK(BM_SignGemvTranspose)
+    ->Args({96, 512})
+    ->Args({240, 512})
+    ->Args({256, 512});
 
 // ThreadPool scaling on an embarrassingly parallel compute-bound loop.
 // On a single-core host the >1-thread variants measure the pool's

@@ -34,7 +34,10 @@ class LinearOperator {
                  Apply adjoint, ApplyInto forward_into,
                  ApplyInto adjoint_into);
 
-  /// Wraps a dense matrix (copies it).
+  /// Wraps a matrix (copies it).  When every column j holds only ±w_j
+  /// (w_j finite, > 0), as the RMPI chip matrix does, the products run on
+  /// the sign-table kernels of SignMatrix; any other matrix keeps the
+  /// dense gemv, bit for bit.
   static LinearOperator from_matrix(const Matrix& a);
 
   /// Identity operator of order n.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "csecg/common/check.hpp"
+#include "csecg/linalg/sign_matrix.hpp"
 
 namespace csecg::linalg {
 
@@ -29,18 +30,39 @@ LinearOperator::LinearOperator(std::size_t rows, std::size_t cols,
               "LinearOperator needs both destination callables");
 }
 
-LinearOperator LinearOperator::from_matrix(const Matrix& a) {
-  CSECG_CHECK(a.rows() > 0 && a.cols() > 0, "from_matrix: empty matrix");
-  // One shared copy of the matrix across all four callables.
-  const auto shared = std::make_shared<const Matrix>(a);
+namespace {
+
+/// Wraps one shared copy of a matrix form (Matrix or SignMatrix) in all
+/// four callables, through its multiply_into/multiply_transpose_into.
+template <typename M>
+LinearOperator share(M a) {
+  const auto shared = std::make_shared<const M>(std::move(a));
   return LinearOperator(
-      a.rows(), a.cols(),
-      [shared](const Vector& x) { return multiply(*shared, x); },
-      [shared](const Vector& y) { return multiply_transpose(*shared, y); },
+      shared->rows(), shared->cols(),
+      [shared](const Vector& x) {
+        Vector y;
+        multiply_into(*shared, x, y);
+        return y;
+      },
+      [shared](const Vector& y) {
+        Vector x;
+        multiply_transpose_into(*shared, y, x);
+        return x;
+      },
       [shared](const Vector& x, Vector& y) { multiply_into(*shared, x, y); },
       [shared](const Vector& y, Vector& x) {
         multiply_transpose_into(*shared, y, x);
       });
+}
+
+}  // namespace
+
+LinearOperator LinearOperator::from_matrix(const Matrix& a) {
+  CSECG_CHECK(a.rows() > 0 && a.cols() > 0, "from_matrix: empty matrix");
+  // ±w_j columns (the RMPI chip matrix, with or without leakage) take the
+  // sign-table kernels; every other matrix keeps the dense gemv.
+  if (auto signs = SignMatrix::from_dense(a)) return share(std::move(*signs));
+  return share(a);
 }
 
 LinearOperator LinearOperator::identity(std::size_t n) {

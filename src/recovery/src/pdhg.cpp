@@ -88,6 +88,14 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   linalg::Vector q1(m);
   linalg::Vector q2(box ? n : 0);
 
+  // Φ is applied once per iteration, to the new iterate: u = Φx is
+  // carried, Φx̄ follows from it by linearity, and the convergence check
+  // reads u instead of applying Φ again.
+  linalg::Vector u(m);
+  phi.apply_into(x, u);
+  linalg::Vector u_bar = u;    // Φx̄ = u + θ(u − u_prev).
+  linalg::Vector u_new(m);     // Φx_new.
+
   // Per-solve workspaces, reused every iteration so the loop itself is
   // allocation-free (the operators' *_into paths write in place).
   linalg::Vector w_m(m);       // σ_d·Φx̄ + q1.
@@ -114,8 +122,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   for (int it = 1; it <= options.max_iterations; ++it) {
     // Dual ascent on the ball block: q1 += σ_d·Φx̄ then Moreau.
     {
-      phi.apply_into(x_bar, w_m);
-      for (std::size_t i = 0; i < m; ++i) w_m[i] = w_m[i] * sigma_d + q1[i];
+      for (std::size_t i = 0; i < m; ++i) w_m[i] = u_bar[i] * sigma_d + q1[i];
       for (std::size_t i = 0; i < m; ++i) scaled_m[i] = w_m[i] / sigma_d;
       // project_l2_ball(scaled_m, y, sigma), in place.
       for (std::size_t i = 0; i < m; ++i) diff_m[i] = scaled_m[i] - y[i];
@@ -155,10 +162,15 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     }
     // Extrapolation, then adopt x_new as x (swap: x's old storage becomes
     // next iteration's x_new scratch).
+    phi.apply_into(x_new, u_new);
     for (std::size_t i = 0; i < n; ++i) {
       x_bar[i] = x_new[i] + options.theta * (x_new[i] - x[i]);
     }
+    for (std::size_t i = 0; i < m; ++i) {
+      u_bar[i] = u_new[i] + options.theta * (u_new[i] - u[i]);
+    }
     std::swap(x, x_new);
+    std::swap(u, u_new);
     result.iterations = it;
 
     if (it % options.check_every == 0 || it == options.max_iterations) {
@@ -171,8 +183,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       const double rel_change = dx / std::max(linalg::norm2(x), 1.0);
       x_prev_check = x;
 
-      phi.apply_into(x, w_m);
-      for (std::size_t i = 0; i < m; ++i) w_m[i] -= y[i];
+      for (std::size_t i = 0; i < m; ++i) w_m[i] = u[i] - y[i];
       const double ball_viol =
           std::max(0.0, linalg::norm2(w_m) - sigma);
       double box_viol = 0.0;

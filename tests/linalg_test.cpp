@@ -2,13 +2,20 @@
 // operators, iterative solvers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "csecg/linalg/matrix.hpp"
 #include "csecg/linalg/operator.hpp"
+#include "csecg/linalg/sign_matrix.hpp"
 #include "csecg/linalg/solve.hpp"
 #include "csecg/linalg/vector.hpp"
+#include "csecg/parallel/thread_pool.hpp"
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
 
@@ -367,6 +374,178 @@ TEST(LinearOperator, FromMatrixMatchesDense) {
   const Vector y1 = op.apply(x);
   const Vector y2 = multiply(a, x);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-14);
+}
+
+// ---------------------------------------------------------------------------
+// Sign-table kernels: from_matrix on ±w_j matrices (the RMPI chip matrix).
+
+/// ±1 chips; with leakage λ > 0 column j is scaled by (1−λ)^(n−1−j) as in
+/// RmpiSimulator::effective_matrix.
+Matrix chip_matrix(std::size_t rows, std::size_t cols, double leakage,
+                   std::uint64_t seed) {
+  rng::Xoshiro256 g(seed);
+  Matrix a(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      a(i, j) = rng::normal(g) < 0.0 ? -1.0 : 1.0;
+    }
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    const double w =
+        std::pow(1.0 - leakage, static_cast<double>(cols - 1 - j));
+    for (std::size_t i = 0; i < rows; ++i) a(i, j) *= w;
+  }
+  return a;
+}
+
+/// Σ_j |a_ij·x_j| per row: the scale of the rounding error in row i.
+Vector abs_product(const Matrix& a, const Vector& x) {
+  Vector out(a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      out[i] += std::abs(a(i, j) * x[j]);
+    }
+  }
+  return out;
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr std::size_t kSignShapes[][2] = {
+    {96, 512}, {256, 512}, {95, 510}, {3, 5}, {1, 1}};
+
+TEST(SignMatrix, AgreesWithDenseGemvOnChipMatrices) {
+  std::uint64_t seed = 500;
+  for (const double leakage : {0.0, 0.05}) {
+    for (const auto& shape : kSignShapes) {
+      const Matrix a = chip_matrix(shape[0], shape[1], leakage, seed++);
+      ASSERT_TRUE(SignMatrix::from_dense(a).has_value());
+      const LinearOperator op = LinearOperator::from_matrix(a);
+      const Vector x = random_vector(shape[1], seed++);
+      const Vector q = random_vector(shape[0], seed++);
+
+      Vector y_sign;
+      Vector y_dense;
+      op.apply_into(x, y_sign);
+      multiply_into(a, x, y_dense);
+      const Vector y_scale = abs_product(a, x);
+      for (std::size_t i = 0; i < y_dense.size(); ++i) {
+        EXPECT_LE(std::abs(y_sign[i] - y_dense[i]), 1e-12 * y_scale[i])
+            << shape[0] << "x" << shape[1] << " leakage " << leakage
+            << " row " << i;
+      }
+
+      Vector x_sign;
+      Vector x_dense;
+      op.apply_adjoint_into(q, x_sign);
+      multiply_transpose_into(a, q, x_dense);
+      const Vector x_scale = abs_product(transpose(a), q);
+      for (std::size_t j = 0; j < x_dense.size(); ++j) {
+        EXPECT_LE(std::abs(x_sign[j] - x_dense[j]), 1e-12 * x_scale[j])
+            << shape[0] << "x" << shape[1] << " leakage " << leakage
+            << " col " << j;
+      }
+
+      // The allocating forms run the same kernels.
+      EXPECT_TRUE(same_bits(op.apply(x), y_sign));
+      EXPECT_TRUE(same_bits(op.apply_adjoint(q), x_sign));
+      EXPECT_LT(adjoint_mismatch(op), 1e-12)
+          << shape[0] << "x" << shape[1] << " leakage " << leakage;
+    }
+  }
+}
+
+TEST(SignMatrix, OtherMatricesKeepTheDenseGemvBitForBit) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<const char*, Matrix>> cases;
+  {
+    Matrix a = chip_matrix(12, 20, 0.0, 601);
+    a(5, 7) *= 1.0 + 1e-9;
+    cases.emplace_back("one perturbed entry", a);
+  }
+  {
+    Matrix a = chip_matrix(12, 20, 0.05, 602);
+    for (std::size_t i = 0; i < a.rows(); ++i) a(i, 3) = 0.0;
+    cases.emplace_back("all-zero column", a);
+  }
+  {
+    Matrix a = chip_matrix(12, 20, 0.0, 603);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      a(i, 11) = i % 2 == 0 ? 0.0 : -0.0;
+    }
+    cases.emplace_back("+-0.0 column", a);
+  }
+  {
+    Matrix a = chip_matrix(12, 20, 0.0, 604);
+    a(4, 9) = nan;
+    cases.emplace_back("NaN entry", a);
+  }
+  {
+    // Sparse binary: two ones per column, zeros elsewhere.
+    Matrix a(12, 20);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      a(j % 12, j) = 1.0;
+      a((j * 5 + 3) % 12, j) = 1.0;
+    }
+    cases.emplace_back("sparse binary 0/1", a);
+  }
+  for (const auto& [name, a] : cases) {
+    EXPECT_FALSE(SignMatrix::from_dense(a).has_value()) << name;
+    const LinearOperator op = LinearOperator::from_matrix(a);
+    const Vector x = random_vector(a.cols(), 610);
+    const Vector q = random_vector(a.rows(), 611);
+    Vector y;
+    Vector xt;
+    op.apply_into(x, y);
+    op.apply_adjoint_into(q, xt);
+    EXPECT_TRUE(same_bits(y, multiply(a, x))) << name;
+    EXPECT_TRUE(same_bits(xt, multiply_transpose(a, q))) << name;
+    EXPECT_TRUE(same_bits(op.apply(x), y)) << name;
+    EXPECT_TRUE(same_bits(op.apply_adjoint(q), xt)) << name;
+  }
+}
+
+TEST(SignMatrix, SharedOperatorIsBitIdenticalAcrossThreads) {
+  // One operator applied from a pool must match serial application: the
+  // per-call tables are per thread, not state inside the operator.
+  const Matrix a = chip_matrix(96, 512, 0.05, 700);
+  const LinearOperator op = LinearOperator::from_matrix(a);
+  constexpr std::size_t kTasks = 64;
+  std::vector<Vector> inputs;
+  std::vector<Vector> duals;
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    inputs.push_back(random_vector(512, 800 + t));
+    duals.push_back(random_vector(96, 900 + t));
+  }
+  std::vector<Vector> serial_y(kTasks);
+  std::vector<Vector> serial_x(kTasks);
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    op.apply_into(inputs[t], serial_y[t]);
+    op.apply_adjoint_into(duals[t], serial_x[t]);
+  }
+  std::vector<Vector> pooled_y(kTasks);
+  std::vector<Vector> pooled_x(kTasks);
+  parallel::ThreadPool pool(4);
+  pool.parallel_for(0, kTasks, [&](std::size_t t) {
+    // Several rounds per task so threads overlap inside the kernels.
+    for (int round = 0; round < 20; ++round) {
+      op.apply_into(inputs[t], pooled_y[t]);
+      op.apply_adjoint_into(duals[t], pooled_x[t]);
+    }
+  });
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    EXPECT_TRUE(same_bits(pooled_y[t], serial_y[t])) << "task " << t;
+    EXPECT_TRUE(same_bits(pooled_x[t], serial_x[t])) << "task " << t;
+  }
 }
 
 TEST(LinearOperator, DimensionValidation) {

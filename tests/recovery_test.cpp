@@ -3,6 +3,7 @@
 // agreement, and greedy pursuit exact-recovery properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -295,6 +296,49 @@ TEST(Pdhg, PhiNormHintGivesSameAnswer) {
       solve_bpdn(LinearOperator::from_matrix(a), LinearOperator::identity(n),
                  y, 1e-6, std::nullopt, hinted);
   EXPECT_LT(linalg::norm2(base.x - with_hint.x), 1e-6);
+}
+
+TEST(Pdhg, AppliesPhiOncePerIterationAndChecksTheCarriedProduct) {
+  // Φx is carried across iterations (Φx̄ by linearity), so a solve costs
+  // one forward product per iteration plus one for the start point, and
+  // the feasibility check needs none of its own.
+  const std::size_t n = 48;
+  const Matrix a = gaussian_matrix(20, n, 20);
+  const Vector y = linalg::multiply(a, sparse_vector(n, 4, 21));
+  const LinearOperator inner = LinearOperator::from_matrix(a);
+  int forward_calls = 0;
+  int adjoint_calls = 0;
+  const LinearOperator counted(
+      a.rows(), a.cols(),
+      [&](const Vector& x) {
+        ++forward_calls;
+        return inner.apply(x);
+      },
+      [&](const Vector& q) {
+        ++adjoint_calls;
+        return inner.apply_adjoint(q);
+      },
+      [&](const Vector& x, Vector& out) {
+        ++forward_calls;
+        inner.apply_into(x, out);
+      },
+      [&](const Vector& q, Vector& out) {
+        ++adjoint_calls;
+        inner.apply_adjoint_into(q, out);
+      });
+  PdhgOptions options;
+  options.max_iterations = 57;
+  options.phi_norm_hint = linalg::operator_norm_estimate(inner, 60);
+  const double sigma = 1e-3;
+  const PdhgResult res = solve_bpdn(counted, LinearOperator::identity(n), y,
+                                    sigma, std::nullopt, options);
+  ASSERT_EQ(res.iterations, 57);
+  EXPECT_EQ(forward_calls, res.iterations + 1);
+  EXPECT_EQ(adjoint_calls, res.iterations);
+  // The last check ran at the final iterate and read the carried Φx.
+  const double direct = std::max(
+      0.0, linalg::norm2(linalg::multiply(a, res.x) - y) - sigma);
+  EXPECT_NEAR(res.ball_violation, direct, 1e-9 * linalg::norm2(y));
 }
 
 TEST(Pdhg, ReportsViolationsOnTinyBudget) {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "csecg/linalg/matrix.hpp"
+#include "csecg/linalg/sign_matrix.hpp"
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
 #include "csecg/sensing/lowres_channel.hpp"
@@ -389,6 +390,21 @@ TEST(Rmpi, EffectiveOperatorAdjointConsistent) {
   config.integrator_leakage = 0.02;
   const RmpiSimulator rmpi(config);
   EXPECT_LT(linalg::adjoint_mismatch(rmpi.effective_operator()), 1e-12);
+}
+
+TEST(Rmpi, EffectiveMatrixHasTheSignStructure) {
+  // The decoder's Φ takes the sign-table kernels in from_matrix only if
+  // every column is ±w_j; that must hold with and without leakage.
+  for (const double leakage : {0.0, 0.05}) {
+    RmpiConfig config;
+    config.channels = 96;
+    config.window = 512;
+    config.integrator_leakage = leakage;
+    const RmpiSimulator rmpi(config);
+    EXPECT_TRUE(linalg::SignMatrix::from_dense(rmpi.effective_matrix())
+                    .has_value())
+        << "leakage " << leakage;
+  }
 }
 
 TEST(Rmpi, NoiseNormZeroWithoutAdc) {
