@@ -15,10 +15,11 @@
 //
 //   $ ./hf_a2i [tones] [m]
 //
-// Without an explicit m the demo sweeps m to expose the three regimes:
-// below the CS phase transition the hybrid still delivers the flash
-// ADC's quality (graceful degradation), above it the CS path lifts the
-// output 20+ dB past the flash ENOB limit.
+// Without an explicit m the demo sweeps m across the CS phase transition.
+// Below it CS alone fails, yet the hybrid still lifts the output 20+ dB
+// past the flash ENOB limit: the flash box pins down what the missing
+// measurements cannot.  Above it both CS paths reach the super-resolution
+// regime.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -63,10 +64,10 @@ int main(int argc, char** argv) {
                 p.hybrid_snr);
   }
   std::printf(
-      "\nBelow the CS phase transition the hybrid falls back to the flash "
-      "ADC's quality;\nabove it the CS channel is the super-resolution "
-      "path of the paper's conclusion,\nlifting the output far past the "
-      "flash ENOB limit at a fraction of Nyquist channels.\n");
+      "\nBelow the CS phase transition CS alone fails, but the hybrid still "
+      "lifts the output\nfar past the flash ENOB limit; above it the CS "
+      "channel is the super-resolution path\nof the paper's conclusion at "
+      "a fraction of Nyquist channels.\n");
   return 0;
 }
 
@@ -112,7 +113,6 @@ HfPoint run_point(std::size_t tones, std::size_t m) {
   const double sigma = 1.5 * rmpi.expected_quantization_noise_norm();
   recovery::PdhgOptions options;
   options.max_iterations = 3000;
-  options.dual_primal_ratio = 0.01;
   const auto psi = dct.synthesis_operator();
   const auto phi = rmpi.effective_operator();
   const auto cs_only =

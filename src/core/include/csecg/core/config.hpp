@@ -45,16 +45,10 @@ struct FrontEndConfig {
   int wavelet_levels = 5;
   double sigma_scale = 1.5;  ///< Fidelity radius σ = scale × expected
                              ///< measurement-ADC quantization noise norm.
-  /// PDHG defaults tuned for ADC-unit ECG windows: the 0.01 dual/primal
-  /// ratio enlarges the primal step to match the coefficient scale, which
-  /// converges the unconstrained baseline ~10× faster (see EXPERIMENTS.md).
-  recovery::PdhgOptions solver = [] {
-    recovery::PdhgOptions options;
-    options.max_iterations = 2000;
-    options.tol = 1e-5;
-    options.dual_primal_ratio = 0.01;
-    return options;
-  }();
+  /// PDHG settings.  The defaults need no tuning for ADC-unit windows: the
+  /// solver adapts its primal weight to the problem scale and stops on a
+  /// duality-gap certificate (see recovery::solve_bpdn).
+  recovery::PdhgOptions solver;
 
   /// Mid-scale DC reference subtracted before the CS mixers (the analog
   /// front-end is AC-coupled); derived from record_bits.

@@ -32,6 +32,8 @@ struct WindowMetrics {
   bool converged = false;
   int iterations = 0;
   double ball_violation = 0.0;   ///< max(0, ‖Φx−y‖−σ) at solver exit.
+  double box_violation = 0.0;    ///< Worst box-cell excess at solver exit.
+  double gap = 0.0;              ///< Relative duality gap at solver exit.
   std::uint64_t encode_ns = 0;   ///< Encode wall time (0 if obs disabled).
   std::uint64_t decode_ns = 0;   ///< Decode wall time (0 if obs disabled).
 };

@@ -55,6 +55,10 @@ std::string ledger_row(const RecordReport& report, std::size_t w,
   obs::append_json_bool(row, m.converged);
   row += ",\"ball_violation\":";
   obs::append_json_double(row, m.ball_violation);
+  row += ",\"box_violation\":";
+  obs::append_json_double(row, m.box_violation);
+  row += ",\"gap\":";
+  obs::append_json_double(row, m.gap);
   row += ",\"prd\":";
   obs::append_json_double(row, m.prd);
   row += ",\"snr\":";
@@ -113,6 +117,8 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
     m.converged = decoded.solver.converged;
     m.iterations = decoded.solver.iterations;
     m.ball_violation = decoded.solver.ball_violation;
+    m.box_violation = decoded.solver.box_violation;
+    m.gap = decoded.solver.gap;
     m.encode_ns = t1 - t0;
     m.decode_ns = t2 - t1;
     report.windows[w] = m;

@@ -7,6 +7,20 @@
 
 namespace csecg::dsp {
 
+namespace {
+
+/// Per-thread scratch: one transform is shared by a whole pool (every copy
+/// of synthesis_operator() points at the same instance), so its workspace
+/// cannot live in the object.  Grows to the largest size a thread has
+/// needed and is then reused without allocating.
+double* scratch(std::size_t size) {
+  thread_local std::vector<double> buffer;
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
+}
+
+}  // namespace
+
 Dwt::Dwt(WaveletFamily family, std::size_t n, int levels)
     : wavelet_(make_wavelet(family)), n_(n), levels_(levels) {
   CSECG_CHECK(n > 0, "Dwt: signal length must be positive");
@@ -91,11 +105,8 @@ void Dwt::forward_into(const linalg::Vector& x,
   CSECG_CHECK(x.size() == n_, "Dwt::forward expected length "
                                   << n_ << ", got " << x.size());
   coeffs.resize(n_);
-  // One scratch allocation (the per-level workspace); kept local so a
-  // shared Dwt stays safe to use from several threads at once.
-  std::vector<double> scratch(n_ + n_ / 2);
-  double* current = scratch.data();
-  double* approx = scratch.data() + n_;
+  double* current = scratch(n_ + n_ / 2);
+  double* approx = current + n_;
   for (std::size_t i = 0; i < n_; ++i) current[i] = x[i];
   std::size_t len = n_;
   for (int level = 0; level < levels_; ++level) {
@@ -119,10 +130,10 @@ void Dwt::inverse_into(const linalg::Vector& coeffs,
   CSECG_CHECK(coeffs.size() == n_, "Dwt::inverse expected length "
                                        << n_ << ", got " << coeffs.size());
   x = coeffs;
-  std::vector<double> merged(n_);
+  double* merged = scratch(n_);
   std::size_t half = n_ >> levels_;
   for (int level = levels_ - 1; level >= 0; --level) {
-    synthesize_one_level(x.data(), x.data() + half, half, merged.data());
+    synthesize_one_level(x.data(), x.data() + half, half, merged);
     const std::size_t len = 2 * half;
     for (std::size_t i = 0; i < len; ++i) x[i] = merged[i];
     half = len;

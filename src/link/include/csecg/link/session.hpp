@@ -95,6 +95,8 @@ struct LinkWindowMetrics {
   bool converged = false;
   int iterations = 0;             ///< Solver iterations (0 on low-res-only).
   double ball_violation = 0.0;    ///< Residual excess at solver exit.
+  double box_violation = 0.0;     ///< Worst box-cell excess at solver exit.
+  double gap = 0.0;               ///< Relative duality gap at solver exit.
   std::uint64_t window_ns = 0;    ///< encode→decode wall time (0 if obs off).
 };
 

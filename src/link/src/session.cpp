@@ -99,6 +99,10 @@ std::string link_ledger_row(const LinkRecordReport& report, std::size_t w,
   obs::append_json_bool(row, m.converged);
   row += ",\"ball_violation\":";
   obs::append_json_double(row, m.ball_violation);
+  row += ",\"box_violation\":";
+  obs::append_json_double(row, m.box_violation);
+  row += ",\"gap\":";
+  obs::append_json_double(row, m.gap);
   row += ",\"prd\":";
   obs::append_json_double(row, m.prd);
   row += ",\"snr\":";
@@ -238,6 +242,8 @@ LinkRecordReport run_link_record(const LinkSession& session,
     m.converged = result.decoded.solver.converged;
     m.iterations = result.decoded.solver.iterations;
     m.ball_violation = result.decoded.solver.ball_violation;
+    m.box_violation = result.decoded.solver.box_violation;
+    m.gap = result.decoded.solver.gap;
     m.window_ns = t1 - t0;
     report.windows[w] = m;
   });

@@ -14,6 +14,11 @@
 // F(q₁,q₂) = δ_ball(q₁) + δ_box(q₂) (prox of F* by Moreau).  Dropping the
 // box block gives the "normal CS" baseline of Fig. 7/8 — the same
 // constrained basis-pursuit-denoise the paper's non-hybrid decoder solves.
+//
+// The iteration is over-relaxed primal-first Chambolle–Pock with
+// block-diagonal dual steps and a primal weight that adapts to the
+// problem's scale; it stops on a duality-gap certificate plus feasibility
+// (DESIGN.md §5, item 7).
 #pragma once
 
 #include <optional>
@@ -30,21 +35,25 @@ struct BoxConstraint {
 };
 
 /// PDHG options.
+///
+/// The step sizes, the over-relaxation and the primal weight that balances
+/// them are not options: the steps come from ‖Φ‖ and the row sums of
+/// K = [Φ; I], and the primal weight adapts to the problem's own primal and
+/// dual scales (see solve_bpdn).
 struct PdhgOptions {
   int max_iterations = 2000;
-  /// Relative x-change stopping tolerance.
-  double tol = 1e-6;
-  /// Allowed constraint violation at exit, relative to ‖y‖ (ball) and to
-  /// the box width (box).
-  double feasibility_tol = 1e-4;
-  /// Check convergence every this many iterations.
+  /// Relative duality-gap tolerance: the solve stops once
+  /// |P − D| ≤ tol·max(|P|, |D|) for the primal objective P and the dual
+  /// bound D at the same iterate, and the iterate is feasible.
+  double tol = 1e-3;
+  /// Allowed constraint violation at a certified exit, relative to
+  /// max(σ, 10⁻³‖y‖) for the ball and to each cell's width for the box.
+  double feasibility_tol = 1e-3;
+  /// Evaluate the certificate every this many iterations.
   int check_every = 10;
-  /// Over-relaxation θ (1 = plain CP).
-  double theta = 1.0;
-  /// Safety factor on the 1/‖K‖ step sizes.
+  /// Safety factor on the step sizes (the product of primal and dual steps
+  /// is step_safety² / ‖K‖² in the preconditioned metric).
   double step_safety = 0.99;
-  /// Ratio σ_dual/τ_primal (1 = balanced); tuning knob only.
-  double dual_primal_ratio = 1.0;
   /// Known ‖Φ‖₂, to skip the internal power iteration when the caller
   /// reuses one sensing operator across many solves.  0 = estimate.
   double phi_norm_hint = 0.0;
@@ -54,7 +63,9 @@ struct PdhgOptions {
   /// iteration count dramatically for the unconstrained baseline.
   linalg::Vector x0;
   /// Optional per-coefficient ℓ1 weights (empty = all ones): the objective
-  /// becomes Σᵢ wᵢ·|（Ψᵀx)ᵢ|.  Used by the reweighted-ℓ1 wrapper.
+  /// becomes Σᵢ wᵢ·|（Ψᵀx)ᵢ|.  Used by the reweighted-ℓ1 wrapper.  A zero
+  /// weight leaves no dual slack on its coefficient, so such a solve only
+  /// certifies once the dual is exactly feasible there.
   linalg::Vector coefficient_weights;
 };
 
@@ -65,8 +76,11 @@ void validate(const PdhgOptions& options);
 struct PdhgResult {
   linalg::Vector x;        ///< Recovered sample-domain signal.
   int iterations = 0;
-  bool converged = false;  ///< Tolerances met before the iteration cap.
+  /// Certified: relative gap ≤ tol and feasible, checked at the exit
+  /// iterate.
+  bool converged = false;
   double objective = 0.0;  ///< ‖Ψᵀx‖₁ at exit.
+  double gap = 0.0;        ///< Relative duality gap at exit.
   double ball_violation = 0.0;  ///< max(0, ‖Φx−y‖₂ − σ) at exit.
   double box_violation = 0.0;   ///< max over samples of box violation.
 };
@@ -76,7 +90,9 @@ struct PdhgResult {
 /// `phi` is the m×n measurement operator, `psi` the n×n orthonormal
 /// synthesis operator (apply = Ψ, apply_adjoint = Ψᵀ), `sigma` the fidelity
 /// radius (≥ 0).  The box, when present, must have matching dimensions and
-/// non-empty cells.  Throws std::invalid_argument on dimension errors.
+/// non-empty cells.  Stops at the first check where the iterate is
+/// certified (see PdhgResult::converged) or at max_iterations.  Throws
+/// std::invalid_argument on dimension errors.
 PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
                       const linalg::LinearOperator& psi,
                       const linalg::Vector& y, double sigma,

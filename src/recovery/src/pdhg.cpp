@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
@@ -11,18 +12,42 @@
 
 namespace csecg::recovery {
 
+namespace {
+
+// Over-relaxation ρ of the primal-first Chambolle–Pock step,
+// z ← z + ρ(T z − z).  Any ρ in (0, 2) converges; 1.9 takes nearly the
+// longest step that does.
+constexpr double kRelaxation = 1.9;
+
+// Iterations between primal-weight updates.
+constexpr int kWeightEvery = 50;
+
+// Feasibility-scale floors: the ball tolerance never drops below
+// feasibility_tol·kBallFloor·‖y‖ (so σ ≈ 0 solves still stop), and a
+// zero-width box cell is measured against kBoxFloor times the widest cell.
+constexpr double kBallFloor = 1e-3;
+constexpr double kBoxFloor = 1e-3;
+
+/// ‖a − b‖², summed in index order.
+double squared_distance(const linalg::Vector& a, const linalg::Vector& b) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+}  // namespace
+
 void validate(const PdhgOptions& options) {
   CSECG_CHECK(options.max_iterations > 0, "PdhgOptions: max_iterations <= 0");
   CSECG_CHECK(options.tol > 0.0, "PdhgOptions: tol must be positive");
   CSECG_CHECK(options.feasibility_tol > 0.0,
               "PdhgOptions: feasibility_tol must be positive");
   CSECG_CHECK(options.check_every > 0, "PdhgOptions: check_every <= 0");
-  CSECG_CHECK(options.theta >= 0.0 && options.theta <= 1.0,
-              "PdhgOptions: theta must be in [0, 1]");
   CSECG_CHECK(options.step_safety > 0.0 && options.step_safety < 1.0,
               "PdhgOptions: step_safety must be in (0, 1)");
-  CSECG_CHECK(options.dual_primal_ratio > 0.0,
-              "PdhgOptions: dual_primal_ratio must be positive");
   CSECG_CHECK(options.phi_norm_hint >= 0.0,
               "PdhgOptions: phi_norm_hint must be non-negative");
   for (double w : options.coefficient_weights) {
@@ -60,16 +85,20 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     CSECG_CHECK(options.coefficient_weights.size() == n,
                 "solve_bpdn: coefficient_weights must have length " << n);
   }
+  const auto weight = [&](std::size_t i) {
+    return weighted ? options.coefficient_weights[i] : 1.0;
+  };
 
-  // Operator norm of K = [Φ; I] (or Φ alone without the box block).
+  // Block-diagonal steps from the row sums of K = [Φ; I] (Pock & Chambolle
+  // 2011): c_ball = 1, c_box = n.  With τ = η/ω and σ_b = η·ω·c_b the
+  // preconditioned ‖Σ^½KT^½‖ is step_safety whatever the primal weight ω.
   const double phi_norm = options.phi_norm_hint > 0.0
                               ? options.phi_norm_hint
                               : linalg::operator_norm_estimate(phi, 60);
-  const double k_norm =
-      box ? std::sqrt(phi_norm * phi_norm + 1.0) : std::max(phi_norm, 1e-12);
-  const double ratio_sqrt = std::sqrt(options.dual_primal_ratio);
-  const double tau = options.step_safety / (k_norm * ratio_sqrt);
-  const double sigma_d = options.step_safety * ratio_sqrt / k_norm;
+  const double c_box = box ? static_cast<double>(n) : 0.0;
+  const double eta =
+      options.step_safety /
+      std::max(std::sqrt(phi_norm * phi_norm + c_box), 1e-12);
 
   // Warm start: caller-provided, else box midpoint (already nearly
   // feasible), else zero.
@@ -84,129 +113,180 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       x[i] = 0.5 * (box->lower[i] + box->upper[i]);
     }
   }
-  linalg::Vector x_bar = x;
+
+  // Primal weight ω: the ratio of the dual to the primal scale.  It starts
+  // from the data, PDLP's ‖c‖/‖b‖ read as ‖w‖₂ over the start point's norm
+  // (or ‖y‖/‖Φ‖, the norm of a measurement-consistent x, from a zero
+  // start), so multiplying y, σ and the box by s starts ω at 1/s and the
+  // whole iteration is scale-equivariant.
+  double omega = 1.0;
+  {
+    double w_norm2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) w_norm2 += weight(i) * weight(i);
+    double x_scale = linalg::norm2(x);
+    if (x_scale == 0.0 && phi_norm > 0.0) x_scale = linalg::norm2(y) / phi_norm;
+    if (x_scale > 0.0 && w_norm2 > 0.0) omega = std::sqrt(w_norm2) / x_scale;
+  }
+  double tau = eta / omega;
+  double sigma_ball = eta * omega;
+  double sigma_box = eta * omega * c_box;
+
+  // The iterate carries Ψᵀx, Φx and Kᵀq next to x and q.  All three are
+  // linear in the iterate, so the relaxation step updates them without an
+  // operator call: a solve applies Φ once per iteration (to the primal
+  // prox point) plus once at the start, and Φᵀ once per iteration.
+  linalg::Vector coeffs(n);  // Ψᵀx.
+  psi.apply_adjoint_into(x, coeffs);
+  linalg::Vector u(m);  // Φx.
+  phi.apply_into(x, u);
   linalg::Vector q1(m);
   linalg::Vector q2(box ? n : 0);
-
-  // Φ is applied once per iteration, to the new iterate: u = Φx is
-  // carried, Φx̄ follows from it by linearity, and the convergence check
-  // reads u instead of applying Φ again.
-  linalg::Vector u(m);
-  phi.apply_into(x, u);
-  linalg::Vector u_bar = u;    // Φx̄ = u + θ(u − u_prev).
-  linalg::Vector u_new(m);     // Φx_new.
+  linalg::Vector kq(n);  // Kᵀq = Φᵀq₁ + q₂.
 
   // Per-solve workspaces, reused every iteration so the loop itself is
   // allocation-free (the operators' *_into paths write in place).
-  linalg::Vector w_m(m);       // σ_d·Φx̄ + q1.
-  linalg::Vector scaled_m(m);  // w_m / σ_d (the point to project).
-  linalg::Vector diff_m(m);    // scaled_m − y.
-  linalg::Vector grad(n);      // Φᵀq1 [+ q2].
-  linalg::Vector x_new(n);
-  linalg::Vector coeffs(n);
-  linalg::Vector check_diff(n);
+  linalg::Vector step_point(n);    // x − τKᵀq.
+  linalg::Vector step_coeffs(n);   // Ψᵀ(x − τKᵀq).
+  linalg::Vector coeffs_new(n);    // Ψᵀx̃ = soft(Ψᵀ(x − τKᵀq)).
+  linalg::Vector x_new(n);         // x̃.
+  linalg::Vector u_new(m);         // Φx̃.
+  linalg::Vector q1_new(m);
+  linalg::Vector kq_new(n);
+  linalg::Vector x_anchor = x;     // Iterate at the last ω update.
+  linalg::Vector q1_anchor(m);
+  linalg::Vector q2_anchor(box ? n : 0);
 
-  const double y_scale = std::max(linalg::norm2(y), 1.0);
-  double box_scale = 1.0;
+  // Feasibility scales: σ (floored by ‖y‖) for the ball, each cell's own
+  // width (floored by the widest) for the box.
+  const double ball_tol =
+      options.feasibility_tol * std::max(sigma, kBallFloor * linalg::norm2(y));
+  double box_floor = 0.0;
   if (box) {
-    double w = 0.0;
+    double widest = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      w = std::max(w, box->upper[i] - box->lower[i]);
+      widest = std::max(widest, box->upper[i] - box->lower[i]);
     }
-    box_scale = std::max(w, 1e-12);
+    box_floor = kBoxFloor * widest;
   }
 
   PdhgResult result;
-  linalg::Vector x_prev_check = x;
-
-  for (int it = 1; it <= options.max_iterations; ++it) {
-    // Dual ascent on the ball block: q1 += σ_d·Φx̄ then Moreau.
-    {
-      for (std::size_t i = 0; i < m; ++i) w_m[i] = u_bar[i] * sigma_d + q1[i];
-      for (std::size_t i = 0; i < m; ++i) scaled_m[i] = w_m[i] / sigma_d;
-      // project_l2_ball(scaled_m, y, sigma), in place.
-      for (std::size_t i = 0; i < m; ++i) diff_m[i] = scaled_m[i] - y[i];
-      const double dist = linalg::norm2(diff_m);
-      if (dist <= sigma) {
-        for (std::size_t i = 0; i < m; ++i) {
-          q1[i] = w_m[i] - sigma_d * scaled_m[i];
-        }
-      } else {
-        const double scale = sigma / dist;
-        for (std::size_t i = 0; i < m; ++i) {
-          q1[i] = w_m[i] - sigma_d * (y[i] + scale * diff_m[i]);
-        }
-      }
-    }
-    // Dual ascent on the box block.
+  // The certificate at the current iterate (x, q).  Ψᵀx is carried, and
+  // ΨᵀKᵀq = (Ψᵀx − Ψᵀ(x − τKᵀq))/τ comes from the primal step's own Ψᵀ
+  // product, so the check applies no operator.
+  const auto certify = [&]() {
+    result.ball_violation =
+        std::max(0.0, std::sqrt(squared_distance(u, y)) - sigma);
+    bool feasible = result.ball_violation <= ball_tol;
+    double box_viol = 0.0;
+    double box_support = 0.0;  // Σᵢ max(lᵢq₂ᵢ, uᵢq₂ᵢ).
     if (box) {
       for (std::size_t i = 0; i < n; ++i) {
-        const double v = q2[i] + sigma_d * x_bar[i];
-        const double proj =
-            std::clamp(v / sigma_d, box->lower[i], box->upper[i]);
-        q2[i] = v - sigma_d * proj;
+        const double lo = box->lower[i];
+        const double hi = box->upper[i];
+        const double viol = std::max({lo - x[i], x[i] - hi, 0.0});
+        box_viol = std::max(box_viol, viol);
+        feasible = feasible && viol <= options.feasibility_tol *
+                                           std::max(hi - lo, box_floor);
+        box_support += std::max(lo * q2[i], hi * q2[i]);
       }
     }
-    // Primal descent: x ← prox_{τ‖Ψᵀ·‖₁}(x − τ·Kᵀq).
-    phi.apply_adjoint_into(q1, grad);
-    if (box) grad += q2;
-    for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] - tau * grad[i];
-    {
-      psi.apply_adjoint_into(x_new, coeffs);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double threshold =
-            weighted ? tau * options.coefficient_weights[i] : tau;
-        coeffs[i] = soft_threshold(coeffs[i], threshold);
-      }
-      psi.apply_into(coeffs, x_new);
-    }
-    // Extrapolation, then adopt x_new as x (swap: x's old storage becomes
-    // next iteration's x_new scratch).
-    phi.apply_into(x_new, u_new);
-    for (std::size_t i = 0; i < n; ++i) {
-      x_bar[i] = x_new[i] + options.theta * (x_new[i] - x[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      u_bar[i] = u_new[i] + options.theta * (u_new[i] - u[i]);
-    }
-    std::swap(x, x_new);
-    std::swap(u, u_new);
-    result.iterations = it;
+    result.box_violation = box_viol;
 
-    if (it % options.check_every == 0 || it == options.max_iterations) {
+    // Primal objective P = Σ wᵢ|(Ψᵀx)ᵢ|.  Dual bound D = −F*(q)/s, where
+    // F* is the support function of ball × box and s ≥ 1 is the smallest
+    // scaling that makes q dual-feasible, ‖W⁻¹ΨᵀKᵀq‖∞ ≤ s.
+    double primal = 0.0;
+    double scale = 1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = weight(i);
+      primal += w * std::abs(coeffs[i]);
+      const double g = std::abs(coeffs[i] - step_coeffs[i]) / tau;
+      if (g > w * scale) {
+        scale = w > 0.0 ? g / w : std::numeric_limits<double>::infinity();
+      }
+    }
+    const double support =
+        linalg::dot(q1, y) + sigma * linalg::norm2(q1) + box_support;
+    const double dual = -support / scale;
+    const double magnitude = std::max(std::abs(primal), std::abs(dual));
+    result.gap = magnitude > 0.0 ? std::abs(primal - dual) / magnitude : 0.0;
+    result.converged = feasible && result.gap <= options.tol;
+  };
+
+  for (int it = 0;; ++it) {
+    // Primal step argument, in the coefficient domain.
+    for (std::size_t i = 0; i < n; ++i) step_point[i] = x[i] - tau * kq[i];
+    psi.apply_adjoint_into(step_point, step_coeffs);
+    if (it == options.max_iterations ||
+        (it > 0 && it % options.check_every == 0)) {
       obs::trace_instant("solver.pdhg.check", "solver", "iteration",
                          static_cast<std::uint64_t>(it));
-      for (std::size_t i = 0; i < n; ++i) {
-        check_diff[i] = x[i] - x_prev_check[i];
-      }
-      const double dx = linalg::norm2(check_diff);
-      const double rel_change = dx / std::max(linalg::norm2(x), 1.0);
-      x_prev_check = x;
-
-      for (std::size_t i = 0; i < m; ++i) w_m[i] = u[i] - y[i];
-      const double ball_viol =
-          std::max(0.0, linalg::norm2(w_m) - sigma);
-      double box_viol = 0.0;
-      if (box) {
-        for (std::size_t i = 0; i < n; ++i) {
-          box_viol = std::max(box_viol, box->lower[i] - x[i]);
-          box_viol = std::max(box_viol, x[i] - box->upper[i]);
-        }
-        box_viol = std::max(box_viol, 0.0);
-      }
-      result.ball_violation = ball_viol;
-      result.box_violation = box_viol;
-      const bool feasible =
-          ball_viol <= options.feasibility_tol * y_scale &&
-          box_viol <= options.feasibility_tol * box_scale;
-      if (rel_change <= options.tol && feasible) {
-        result.converged = true;
+      certify();
+      if (result.converged || it == options.max_iterations) {
+        result.iterations = it;
         break;
       }
     }
+
+    // x̃ = prox_{τ‖WΨᵀ·‖₁}(x − τKᵀq) = Ψ·soft(Ψᵀ(x − τKᵀq), τw).
+    for (std::size_t i = 0; i < n; ++i) {
+      coeffs_new[i] = soft_threshold(step_coeffs[i], tau * weight(i));
+    }
+    psi.apply_into(coeffs_new, x_new);
+    phi.apply_into(x_new, u_new);
+
+    // q̃ = prox_{ΣF*}(q + ΣK(2x̃ − x)), block by block through Moreau.
+    // Ball: q̃₁ = max(0, 1 − σ_ball·σ/‖v‖)·v, v = q₁ + σ_ball(2Φx̃ − Φx − y).
+    for (std::size_t i = 0; i < m; ++i) {
+      q1_new[i] = q1[i] + sigma_ball * (2.0 * u_new[i] - u[i] - y[i]);
+    }
+    const double v_norm = linalg::norm2(q1_new);
+    const double shrink =
+        v_norm > 0.0 ? std::max(0.0, 1.0 - sigma_ball * sigma / v_norm) : 0.0;
+    for (std::size_t i = 0; i < m; ++i) q1_new[i] *= shrink;
+    phi.apply_adjoint_into(q1_new, kq_new);
+
+    // Over-relaxation z ← z + ρ(z̃ − z) of the iterate and of its carried
+    // products.  The box block's q̃₂ = v − σ_box·clamp(v/σ_box, l, u),
+    // v = q₂ + σ_box(2x̃ − x), is formed in the same pass over the samples.
+    constexpr double rho = kRelaxation;
+    for (std::size_t i = 0; i < m; ++i) {
+      u[i] += rho * (u_new[i] - u[i]);
+      q1[i] += rho * (q1_new[i] - q1[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (box) {
+        const double v = q2[i] + sigma_box * (2.0 * x_new[i] - x[i]);
+        const double q2_new = std::max(v - sigma_box * box->upper[i], 0.0) +
+                              std::min(v - sigma_box * box->lower[i], 0.0);
+        kq_new[i] += q2_new;
+        q2[i] += rho * (q2_new - q2[i]);
+      }
+      x[i] += rho * (x_new[i] - x[i]);
+      coeffs[i] += rho * (coeffs_new[i] - coeffs[i]);
+      kq[i] += rho * (kq_new[i] - kq[i]);
+    }
+
+    // Adaptive primal weight (PDLP): ω ← √(ω·‖Δq‖/‖Δx‖) over the last
+    // kWeightEvery iterations, with the dual blocks in their own metric.
+    if ((it + 1) % kWeightEvery == 0) {
+      const double dx = std::sqrt(squared_distance(x, x_anchor));
+      const double dq = std::sqrt(
+          squared_distance(q1, q1_anchor) +
+          (box ? squared_distance(q2, q2_anchor) / c_box : 0.0));
+      if (dx > 0.0 && dq > 0.0 && std::isfinite(dq / dx)) {
+        omega = std::sqrt(omega * dq / dx);
+        tau = eta / omega;
+        sigma_ball = eta * omega;
+        sigma_box = eta * omega * c_box;
+      }
+      x_anchor = x;
+      q1_anchor = q1;
+      q2_anchor = q2;
+    }
   }
 
-  result.objective = linalg::norm1(psi.apply_adjoint(x));
+  result.objective = linalg::norm1(coeffs);
   result.x = std::move(x);
 
   static obs::Counter& solves = obs::counter("solver.pdhg.solves");
@@ -215,11 +295,13 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   static obs::Counter& non_converged =
       obs::counter("solver.pdhg.non_converged");
   static obs::Gauge& last_residual = obs::gauge("solver.pdhg.last_residual");
+  static obs::Gauge& last_gap = obs::gauge("solver.pdhg.last_gap");
   static obs::Gauge& last_epsilon = obs::gauge("solver.pdhg.last_epsilon");
   solves.add();
   iterations.add(static_cast<std::uint64_t>(result.iterations));
   (result.converged ? converged : non_converged).add();
   last_residual.set(result.ball_violation);
+  last_gap.set(result.gap);
   last_epsilon.set(sigma);
   solve_trace.set_arg(static_cast<std::uint64_t>(result.iterations));
   return result;

@@ -4,6 +4,7 @@
 // experiment runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "csecg/core/config.hpp"
@@ -197,6 +198,37 @@ TEST_F(FrontEndTest, HybridStaysInsideBox) {
   for (std::size_t i = 0; i < window.size(); ++i) {
     EXPECT_NEAR(result.x[i], window[i], 2.0 * step);
   }
+}
+
+TEST_F(FrontEndTest, DesignPointWindowsAllCertify) {
+  // The paper's design point (n=512, m=96, 7-bit box, db4/5) under the
+  // default solver settings: every window stops on a certificate before
+  // the cap, with its gap and violations inside the advertised tolerances.
+  const FrontEndConfig design;
+  const Codec codec(design, train_lowres_codec(design, database(), 2, 2));
+  const recovery::PdhgOptions& solver = design.solver;
+  const double step = 16.0;  // 7-bit cells over 11-bit codes.
+  int windows = 0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (const linalg::Vector& window : ecg::extract_windows(
+             database().record(r), design.window, 2)) {
+      const Frame frame = codec.encoder().encode(window);
+      const DecodeResult result =
+          codec.decoder().decode(frame, DecodeMode::kHybrid);
+      ASSERT_TRUE(result.used_box);
+      const recovery::PdhgResult& s = result.solver;
+      EXPECT_TRUE(s.converged) << "window " << windows;
+      EXPECT_LT(s.iterations, solver.max_iterations);
+      EXPECT_LE(s.gap, solver.tol);
+      const double ball_scale =
+          std::max(codec.decoder().sigma(),
+                   1e-3 * linalg::norm2(frame.measurements));
+      EXPECT_LE(s.ball_violation, solver.feasibility_tol * ball_scale);
+      EXPECT_LE(s.box_violation, solver.feasibility_tol * step);
+      ++windows;
+    }
+  }
+  EXPECT_EQ(windows, 8);
 }
 
 TEST_F(FrontEndTest, HybridBeatsNormalCs) {

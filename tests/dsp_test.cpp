@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "csecg/dsp/dwt.hpp"
 #include "csecg/dsp/fir.hpp"
@@ -184,6 +186,45 @@ TEST(Dwt, MultiLevelMatchesRepeatedSingleLevel) {
     EXPECT_NEAR(c_ref[i], c2[i], 1e-10);               // Coarse part.
     EXPECT_NEAR(c_ref[n / 2 + i], c1[n / 2 + i], 1e-10);  // Level-1 details.
   }
+}
+
+TEST(Dwt, SharedTransformIsThreadSafeAndBitStable) {
+  // The transform's workspace is per thread: threads sharing one operator,
+  // and a thread alternating between transform lengths, must reproduce the
+  // serial coefficients and samples bit for bit.
+  const Dwt big(WaveletFamily::kDb4, 512, 5);
+  const Dwt small(WaveletFamily::kDb4, 64, 3);
+  const linalg::LinearOperator psi = big.synthesis_operator();
+  constexpr std::size_t kThreads = 4;
+  std::vector<Vector> signals;
+  std::vector<Vector> coeffs;
+  std::vector<Vector> samples;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    signals.push_back(random_signal(512, 40 + t));
+    coeffs.push_back(big.forward(signals.back()));
+    samples.push_back(big.inverse(coeffs.back()));
+  }
+  const Vector small_signal = random_signal(64, 50);
+  const Vector small_coeffs = small.forward(small_signal);
+
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Vector c(512);
+      Vector x(512);
+      Vector c_small(64);
+      for (int round = 0; round < 50; ++round) {
+        psi.apply_adjoint_into(signals[t], c);
+        psi.apply_into(c, x);
+        small.forward_into(small_signal, c_small);
+        mismatches[t] += (c != coeffs[t]) + (x != samples[t]) +
+                         (c_small != small_coeffs);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 // ---------------------------------------------------------------------------

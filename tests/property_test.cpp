@@ -2,6 +2,7 @@
 // parameter ranges, not just at single design points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
@@ -167,10 +168,14 @@ TEST_P(PdhgMeasurementsTest, SolutionFeasibleAndL1Minimal) {
       recovery::solve_bpdn(linalg::LinearOperator::from_matrix(a),
                            linalg::LinearOperator::identity(n), y, sigma,
                            std::nullopt, options);
-  // Feasibility: within the ball up to the solver's advertised slack.
+  // Certified, and within the ball up to the solver's advertised slack
+  // (feasibility_tol relative to max(σ, 10⁻³‖y‖)).
+  EXPECT_TRUE(result.converged);
   const double resid = linalg::norm2(linalg::multiply(a, result.x) - y);
-  EXPECT_LE(resid,
-            sigma + options.feasibility_tol * linalg::norm2(y) + 1e-9);
+  EXPECT_LE(resid, sigma +
+                       options.feasibility_tol *
+                           std::max(sigma, 1e-3 * linalg::norm2(y)) +
+                       1e-9);
   // ℓ1 minimality vs the (feasible) ground truth.
   EXPECT_LE(linalg::norm1(result.x),
             linalg::norm1(x_true) * (1.0 + 5e-2));

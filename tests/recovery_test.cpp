@@ -121,7 +121,7 @@ TEST(Pdhg, OptionsValidation) {
   bad.max_iterations = 0;
   EXPECT_THROW(validate(bad), std::invalid_argument);
   bad = PdhgOptions{};
-  bad.theta = 1.5;
+  bad.tol = 0.0;  // A relative duality gap of zero is never certified.
   EXPECT_THROW(validate(bad), std::invalid_argument);
   bad = PdhgOptions{};
   bad.step_safety = 1.0;
@@ -353,6 +353,85 @@ TEST(Pdhg, ReportsViolationsOnTinyBudget) {
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 3);
   EXPECT_GT(res.ball_violation, 0.0);
+  EXPECT_GT(res.gap, options.tol);  // No false certificate either.
+}
+
+/// A boxed problem with a sparse truth: Gaussian Φ, a ±0.05 box around
+/// x_true and the noiseless measurements, every part multiplied by `scale`.
+struct BoxedProblem {
+  Matrix a;
+  Vector y;
+  double sigma = 0.0;
+  BoxConstraint box;
+};
+
+BoxedProblem boxed_problem(double scale) {
+  const std::size_t n = 128;
+  BoxedProblem p;
+  p.a = gaussian_matrix(32, n, 30);
+  const Vector x_true = sparse_vector(n, 6, 31);
+  p.y = linalg::multiply(p.a, x_true) * scale;
+  p.sigma = 1e-2 * scale;
+  p.box.lower = Vector(n);
+  p.box.upper = Vector(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p.box.lower[i] = (x_true[i] - 0.05) * scale;
+    p.box.upper[i] = (x_true[i] + 0.05) * scale;
+  }
+  return p;
+}
+
+TEST(Pdhg, CertifiesWithinToleranceUnderTheDefaultCap) {
+  const BoxedProblem p = boxed_problem(1.0);
+  const PdhgOptions options;
+  const PdhgResult res =
+      solve_bpdn(LinearOperator::from_matrix(p.a),
+                 LinearOperator::identity(128), p.y, p.sigma, p.box, options);
+  ASSERT_TRUE(res.converged);
+  EXPECT_LT(res.iterations, options.max_iterations);
+  EXPECT_LE(res.gap, options.tol);
+  EXPECT_LE(res.ball_violation, options.feasibility_tol * p.sigma);
+  EXPECT_LE(res.box_violation, options.feasibility_tol * 0.1);
+}
+
+TEST(Pdhg, IterationCountIsScaleInvariant) {
+  // Multiplying y, σ and the box by 10³ multiplies the solution by 10³ and
+  // leaves the dual alone; the adaptive primal weight absorbs that, so the
+  // iteration count barely moves.  A fixed primal/dual step ratio would not.
+  const BoxedProblem unit = boxed_problem(1.0);
+  const BoxedProblem big = boxed_problem(1e3);
+  const auto phi = LinearOperator::from_matrix(unit.a);
+  const auto psi = LinearOperator::identity(128);
+  const PdhgResult a = solve_bpdn(phi, psi, unit.y, unit.sigma, unit.box);
+  const PdhgResult b = solve_bpdn(phi, psi, big.y, big.sigma, big.box);
+  ASSERT_TRUE(a.converged);
+  ASSERT_TRUE(b.converged);
+  EXPECT_LE(std::abs(a.iterations - b.iterations), a.iterations / 10)
+      << a.iterations << " vs " << b.iterations;
+  EXPECT_LT(linalg::norm2(b.x * 1e-3 - a.x), 1e-2 * linalg::norm2(a.x));
+}
+
+TEST(Pdhg, ZeroWeightsDoNotCertifyEarly) {
+  // A zero weight leaves its coefficient free, so the dual bound is only
+  // valid where the dual is exactly zero there.  Dividing by the zero
+  // weight must not produce a bound (NaN, or a finite scale) that
+  // certifies an unconverged iterate: under the default cap, where the
+  // unit-weight problem certifies, the zero-weight solve must not, because
+  // its dual is never exactly zero on the free coefficients.
+  const BoxedProblem p = boxed_problem(1.0);
+  const auto phi = LinearOperator::from_matrix(p.a);
+  const auto psi = LinearOperator::identity(128);
+  PdhgOptions options;
+  options.coefficient_weights = Vector(128, 1.0);
+  const PdhgResult unit = solve_bpdn(phi, psi, p.y, p.sigma, p.box, options);
+  ASSERT_TRUE(unit.converged);
+  for (std::size_t i = 0; i < 128; i += 4) {
+    options.coefficient_weights[i] = 0.0;
+  }
+  const PdhgResult zero = solve_bpdn(phi, psi, p.y, p.sigma, p.box, options);
+  EXPECT_FALSE(zero.converged);
+  EXPECT_EQ(zero.iterations, options.max_iterations);
+  EXPECT_GT(zero.gap, options.tol);
 }
 
 // ---------------------------------------------------------------------------

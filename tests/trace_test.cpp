@@ -219,6 +219,9 @@ TEST_F(TraceTest, RunRecordLedgerIsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial_ledger.find("\"decode_mode\":\"auto\""),
             std::string::npos);
   EXPECT_NE(serial_ledger.find("\"sigma\":"), std::string::npos);
+  // The solver certificate rides along and is deterministic too.
+  EXPECT_NE(serial_ledger.find("\"gap\":"), std::string::npos);
+  EXPECT_NE(serial_ledger.find("\"box_violation\":"), std::string::npos);
   // Locale-proof doubles: no decimal commas anywhere in a ledger number.
   EXPECT_EQ(serial_ledger.find(",\","), std::string::npos);
 }
@@ -265,6 +268,8 @@ TEST_F(TraceTest, LinkLedgerRowsCarryLossAccounting) {
   EXPECT_NE(ledger.find("\"retransmissions\":"), std::string::npos);
   EXPECT_NE(ledger.find("\"energy_j\":"), std::string::npos);
   EXPECT_NE(ledger.find("\"boxed_samples\":"), std::string::npos);
+  EXPECT_NE(ledger.find("\"gap\":"), std::string::npos);
+  EXPECT_NE(ledger.find("\"box_violation\":"), std::string::npos);
 
   // The outlier fence is a real number and the flags point inside range.
   EXPECT_TRUE(std::isfinite(report.outlier_snr_threshold_db));
