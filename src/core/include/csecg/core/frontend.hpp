@@ -159,21 +159,32 @@ class Decoder {
   DecodeResult solve_window(const linalg::Vector& y,
                             std::optional<recovery::BoxConstraint> box) const;
 
+  /// The operator of Φ's rows where mask[i] != 0 (the lossy path's
+  /// surviving measurements), bit for bit from_matrix of that row copy.
+  linalg::LinearOperator kept_rows_operator(
+      const std::vector<std::uint8_t>& mask, std::size_t kept) const;
+
   FrontEndConfig config_;
   sensing::RmpiSimulator rmpi_;
   std::optional<sensing::LowResChannel> lowres_;
   std::optional<coding::DeltaHuffmanCodec> codec_;
   dsp::Dwt dwt_;
-  /// Dense Φ, kept for the lossy path's row dropping.
+  /// Dense Φ, kept for the lossy path's row dropping when Φ has no sign
+  /// form (the Gaussian and sparse ablation ensembles).
   linalg::Matrix phi_dense_;
+  /// Φ's sign form, when it has one (the RMPI chip matrix): the lossy path
+  /// selects its surviving rows from the packed codes.
+  std::optional<linalg::SignMatrix> phi_signs_;
   linalg::LinearOperator phi_;
   /// Ψ as an operator, materialized once (decode used to rebuild it per
   /// window).
   linalg::LinearOperator psi_;
   mutable std::once_flag dictionary_once_;
   mutable linalg::Matrix phi_psi_dense_;
-  /// Cholesky of ΦΦᵀ, cached for the least-norm warm start of the
-  /// unconstrained (normal-CS) solves.
+  /// ΦΦᵀ and its Cholesky factor, cached for the least-norm warm start of
+  /// the unconstrained (normal-CS) solves; a lossy window's Gram matrix is
+  /// the kept rows and columns of gram_.
+  linalg::Matrix gram_;
   std::unique_ptr<linalg::Cholesky> gram_chol_;
   double phi_norm_ = 0.0;
   double sigma_ = 0.0;

@@ -159,13 +159,14 @@ Decoder::Decoder(FrontEndConfig config,
       codec_(std::move(lowres_codec)),
       dwt_(config_.wavelet, config_.window, config_.wavelet_levels),
       phi_dense_(sensing_matrix_for(config_, rmpi_)),
+      phi_signs_(linalg::SignMatrix::from_dense(phi_dense_)),
       phi_(linalg::LinearOperator::from_matrix(phi_dense_)),
-      psi_(dwt_.synthesis_operator()) {
+      psi_(dwt_.synthesis_operator()),
+      gram_(linalg::multiply(phi_dense_, linalg::transpose(phi_dense_))) {
   check_codec_consistency(config_, codec_);
   phi_norm_ = linalg::operator_norm_estimate(phi_, 60);
   sigma_ = config_.sigma_scale * rmpi_.expected_quantization_noise_norm();
-  gram_chol_ = std::make_unique<linalg::Cholesky>(
-      linalg::multiply(phi_dense_, linalg::transpose(phi_dense_)));
+  gram_chol_ = std::make_unique<linalg::Cholesky>(gram_);
 }
 
 DecodeResult Decoder::decode(const Frame& frame, DecodeMode mode) const {
@@ -385,18 +386,16 @@ LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
   // entries of y, shrink σ with the surviving row count (the expected
   // quantization-noise norm scales with √m), and solve the same problem.
   const std::size_t eff_m = result.effective_m;
-  linalg::Matrix sub(eff_m, n);
+  std::vector<std::size_t> kept_rows;
+  kept_rows.reserve(eff_m);
   linalg::Vector y_kept(eff_m);
-  std::size_t row = 0;
   for (std::size_t i = 0; i < m; ++i) {
     if (window.measurement_mask[i] == 0) continue;
-    const double* src = phi_dense_.row(i);
-    std::copy(src, src + n, sub.row(row));
-    y_kept[row] = window.measurements[i];
-    ++row;
+    y_kept[kept_rows.size()] = window.measurements[i];
+    kept_rows.push_back(i);
   }
   const linalg::LinearOperator phi_sub =
-      linalg::LinearOperator::from_matrix(sub);
+      kept_rows_operator(window.measurement_mask, eff_m);
 
   recovery::PdhgOptions options = config_.solver;
   // ‖Φ_sub‖₂ ≤ ‖Φ‖₂ for a row submatrix, and PDHG only needs an upper
@@ -407,8 +406,15 @@ LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
                          static_cast<double>(m));
   if (!box) {
     try {
-      const linalg::Cholesky chol(
-          linalg::multiply(sub, linalg::transpose(sub)));
+      // Entry (r, s) of Φ_sub·Φ_subᵀ is the same ascending-k dot product
+      // as entry (kept_r, kept_s) of the cached ΦΦᵀ.
+      linalg::Matrix gram_sub(eff_m, eff_m);
+      for (std::size_t r = 0; r < eff_m; ++r) {
+        for (std::size_t c = 0; c < eff_m; ++c) {
+          gram_sub(r, c) = gram_(kept_rows[r], kept_rows[c]);
+        }
+      }
+      const linalg::Cholesky chol(gram_sub);
       options.x0 = phi_sub.apply_adjoint(chol.solve(y_kept));
     } catch (const std::exception&) {
       // Surviving rows numerically dependent — cold start instead.
@@ -420,6 +426,22 @@ LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
   result.x = result.solver.x;
   for (auto& v : result.x) v += dc;
   return result;
+}
+
+linalg::LinearOperator Decoder::kept_rows_operator(
+    const std::vector<std::uint8_t>& mask, std::size_t kept) const {
+  if (phi_signs_) {
+    return linalg::LinearOperator::from_signs(phi_signs_->select_rows(mask));
+  }
+  const std::size_t n = config_.window;
+  linalg::Matrix sub(kept, n);
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i] == 0) continue;
+    const double* src = phi_dense_.row(i);
+    std::copy(src, src + n, sub.row(row++));
+  }
+  return linalg::LinearOperator::from_matrix(sub);
 }
 
 const linalg::Matrix& Decoder::synthesis_dictionary() const {

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "csecg/dsp/wavelet.hpp"
 #include "csecg/linalg/operator.hpp"
@@ -57,14 +59,13 @@ class Dwt {
   static int max_levels(std::size_t n);
 
  private:
-  void analyze_one_level(const double* input, std::size_t len, double* approx,
-                         double* detail) const;
-  void synthesize_one_level(const double* approx, const double* detail,
-                            std::size_t half, double* output) const;
-
   Wavelet wavelet_;
   std::size_t n_ = 0;
   int levels_ = 0;
+  // Per level (finest first), the order in which each of the first
+  // min(taps/2 − 1, len/2) synthesis output pairs adds its terms; see
+  // dwt.cpp.
+  std::vector<std::vector<std::uint8_t>> head_orders_;
 };
 
 }  // namespace csecg::dsp

@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "csecg/linalg/matrix.hpp"
+#include "csecg/linalg/sign_matrix.hpp"
 #include "csecg/linalg/vector.hpp"
 
 namespace csecg::linalg {
@@ -39,6 +40,10 @@ class LinearOperator {
   /// the sign-table kernels of SignMatrix; any other matrix keeps the
   /// dense gemv, bit for bit.
   static LinearOperator from_matrix(const Matrix& a);
+
+  /// Wraps a sign-form matrix: the operator from_matrix builds for any
+  /// dense matrix whose sign form `a` is.
+  static LinearOperator from_signs(SignMatrix a);
 
   /// Identity operator of order n.
   static LinearOperator identity(std::size_t n);

@@ -36,6 +36,12 @@ class SignMatrix {
   /// non-finite value or two different magnitudes.
   static std::optional<SignMatrix> from_dense(const Matrix& a);
 
+  /// The rows i with keep[i] != 0, in order: bit for bit the sign form
+  /// from_dense gives for that row submatrix of the dense matrix, built
+  /// from the packed codes without touching a dense row.  keep must have
+  /// rows() entries, at least one of them nonzero.
+  SignMatrix select_rows(const std::vector<std::uint8_t>& keep) const;
+
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "csecg/common/check.hpp"
-#include "csecg/linalg/sign_matrix.hpp"
 
 namespace csecg::linalg {
 
@@ -61,8 +60,14 @@ LinearOperator LinearOperator::from_matrix(const Matrix& a) {
   CSECG_CHECK(a.rows() > 0 && a.cols() > 0, "from_matrix: empty matrix");
   // ±w_j columns (the RMPI chip matrix, with or without leakage) take the
   // sign-table kernels; every other matrix keeps the dense gemv.
-  if (auto signs = SignMatrix::from_dense(a)) return share(std::move(*signs));
+  if (auto signs = SignMatrix::from_dense(a)) {
+    return from_signs(std::move(*signs));
+  }
   return share(a);
+}
+
+LinearOperator LinearOperator::from_signs(SignMatrix a) {
+  return share(std::move(a));
 }
 
 LinearOperator LinearOperator::identity(std::size_t n) {

@@ -109,6 +109,41 @@ std::optional<SignMatrix> SignMatrix::from_dense(const Matrix& a) {
   return s;
 }
 
+SignMatrix SignMatrix::select_rows(
+    const std::vector<std::uint8_t>& keep) const {
+  CSECG_CHECK(keep.size() == rows_, "SignMatrix::select_rows: mask has "
+                                        << keep.size() << " entries for "
+                                        << rows_ << " rows");
+  std::size_t kept = 0;
+  for (const std::uint8_t bit : keep) kept += (bit != 0);
+  CSECG_CHECK(kept > 0, "SignMatrix::select_rows: no row kept");
+
+  // Every column keeps its weight (each entry is ±w_j).  Row codes are
+  // copied whole; the column codes are regrouped over the kept rows.
+  SignMatrix s;
+  s.rows_ = kept;
+  s.cols_ = cols_;
+  s.weights_ = weights_;
+  s.row_groups_ = row_groups_;
+  s.col_groups_ = padded_groups(kept);
+  s.row_codes_.resize(kept * row_groups_);
+  s.col_codes_.assign(cols_ * s.col_groups_, 0);
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < rows_; ++i) {
+    if (keep[i] == 0) continue;
+    const std::uint8_t* row = row_codes_.data() + i * row_groups_;
+    std::copy(row, row + row_groups_, s.row_codes_.data() + r * row_groups_);
+    const std::size_t bit = i % kGroup;
+    for (std::size_t j = 0; j < cols_; ++j) {
+      const std::uint8_t code = col_codes_[j * col_groups_ + i / kGroup];
+      s.col_codes_[j * s.col_groups_ + r / kGroup] |=
+          static_cast<std::uint8_t>(((code >> bit) & 1u) << (r % kGroup));
+    }
+    ++r;
+  }
+  return s;
+}
+
 void multiply_into(const SignMatrix& a, const Vector& x, Vector& y) {
   CSECG_CHECK(x.size() == a.cols(), "sign gemv dimension mismatch: A is "
                                         << a.rows() << "x" << a.cols()

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace csecg::obs {
@@ -76,5 +77,38 @@ void ledger_reset();
 
 /// Ledger::global().size().
 std::size_t ledger_size();
+
+/// A window present in both ledgers of a diff whose row differs.
+struct LedgerMover {
+  std::string kind;
+  std::string record;
+  std::uint64_t window = 0;
+  std::vector<std::string> fields;  ///< Fields whose values differ.
+  double delta_snr = 0.0;           ///< new − base "snr" (NaN if null).
+  long long delta_iterations = 0;   ///< new − base "iterations".
+  bool convergence_flip = false;    ///< "converged" differs.
+};
+
+/// Window-by-window comparison of two ledgers.
+struct LedgerDiff {
+  std::size_t matched = 0;  ///< Windows present in both.
+  /// Matched windows whose rows differ, in base-ledger order.
+  std::vector<LedgerMover> movers;
+  /// Malformed, duplicate or unmatched rows.
+  std::vector<std::string> problems;
+  std::size_t convergence_flips = 0;
+
+  /// Like cmp: 0 when every window matches bit for bit, 1 when some
+  /// window differs, 2 when a row is malformed or has no partner.
+  int status() const noexcept {
+    if (!problems.empty()) return 2;
+    return movers.empty() ? 0 : 1;
+  }
+};
+
+/// Diffs two JSONL ledgers.  Rows are matched by ("kind", "record",
+/// "window") and compared field by field on their exact JSON text, so two
+/// runs that differ only in cycles diff clean.
+LedgerDiff diff_ledgers(std::string_view base, std::string_view changed);
 
 }  // namespace csecg::obs

@@ -5,8 +5,17 @@
 
 namespace csecg::recovery {
 
-/// Scalar soft-thresholding: sign(v)·max(|v| − threshold, 0).
-double soft_threshold(double value, double threshold) noexcept;
+/// Scalar soft-thresholding sign(v)·max(|v| − t, 0): v − t where v > t,
+/// v + t where v < −t, and +0.0 otherwise (±0, |v| = t, NaN).  Both
+/// candidates are computed unconditionally and tested against zero, which
+/// with gradual underflow is the same test as v against ±t, so a loop over
+/// this function has no branches and vectorises.
+inline double soft_threshold(double value, double threshold) noexcept {
+  const double above = value - threshold;
+  const double below = value + threshold;
+  const double shrunk = below < 0.0 ? below : 0.0;
+  return above > 0.0 ? above : shrunk;
+}
 
 /// Element-wise soft-thresholding (prox of threshold·‖·‖₁).
 linalg::Vector soft_threshold(const linalg::Vector& v, double threshold);

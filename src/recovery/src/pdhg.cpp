@@ -28,6 +28,65 @@ constexpr int kWeightEvery = 50;
 constexpr double kBallFloor = 1e-3;
 constexpr double kBoxFloor = 1e-3;
 
+// The element-wise passes of an iteration.  Each takes its arrays as
+// __restrict parameters (the solver's workspaces are distinct vectors), so
+// the compiler vectorises it; every element sees exactly the operations
+// of the plain scalar loop.
+
+/// step = x − τ·kq.
+void primal_step(std::size_t n, double tau, const double* __restrict x,
+                 const double* __restrict kq, double* __restrict step) {
+  for (std::size_t i = 0; i < n; ++i) step[i] = x[i] - tau * kq[i];
+}
+
+/// out = soft(v, τ·w), with w ≡ 1 (threshold exactly τ) when w is null.
+void threshold_coefficients(std::size_t n, double tau,
+                            const double* __restrict w,
+                            const double* __restrict v,
+                            double* __restrict out) {
+  if (w != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = soft_threshold(v[i], tau * w[i]);
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out[i] = soft_threshold(v[i], tau);
+  }
+}
+
+/// q1_new = q1 + σ_ball(2u_new − u − y).
+void ball_step(std::size_t m, double sigma_ball, const double* __restrict q1,
+               const double* __restrict u_new, const double* __restrict u,
+               const double* __restrict y, double* __restrict q1_new) {
+  for (std::size_t i = 0; i < m; ++i) {
+    q1_new[i] = q1[i] + sigma_ball * (2.0 * u_new[i] - u[i] - y[i]);
+  }
+}
+
+/// The box block: q̃₂ = v − σ_box·clamp(v/σ_box, l, u) with
+/// v = q₂ + σ_box(2x̃ − x), written as max(·, 0) + min(·, 0) with the
+/// exact std::max/std::min ±0 and NaN semantics; adds q̃₂ to kq_new and
+/// relaxes q₂ towards it.
+void box_step(std::size_t n, double sigma_box, const double* __restrict lower,
+              const double* __restrict upper, const double* __restrict x_new,
+              const double* __restrict x, double* __restrict q2,
+              double* __restrict kq_new) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = q2[i] + sigma_box * (2.0 * x_new[i] - x[i]);
+    const double q2_new = std::max(v - sigma_box * upper[i], 0.0) +
+                          std::min(v - sigma_box * lower[i], 0.0);
+    kq_new[i] += q2_new;
+    q2[i] += kRelaxation * (q2_new - q2[i]);
+  }
+}
+
+/// Over-relaxation z ← z + ρ(z̃ − z).
+void relax(std::size_t len, const double* __restrict z_new,
+           double* __restrict z) {
+  for (std::size_t i = 0; i < len; ++i) {
+    z[i] += kRelaxation * (z_new[i] - z[i]);
+  }
+}
+
 /// ‖a − b‖², summed in index order.
 double squared_distance(const linalg::Vector& a, const linalg::Vector& b) {
   double sum = 0.0;
@@ -215,7 +274,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
 
   for (int it = 0;; ++it) {
     // Primal step argument, in the coefficient domain.
-    for (std::size_t i = 0; i < n; ++i) step_point[i] = x[i] - tau * kq[i];
+    primal_step(n, tau, x.data(), kq.data(), step_point.data());
     psi.apply_adjoint_into(step_point, step_coeffs);
     if (it == options.max_iterations ||
         (it > 0 && it % options.check_every == 0)) {
@@ -229,17 +288,16 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     }
 
     // x̃ = prox_{τ‖WΨᵀ·‖₁}(x − τKᵀq) = Ψ·soft(Ψᵀ(x − τKᵀq), τw).
-    for (std::size_t i = 0; i < n; ++i) {
-      coeffs_new[i] = soft_threshold(step_coeffs[i], tau * weight(i));
-    }
+    threshold_coefficients(
+        n, tau, weighted ? options.coefficient_weights.data() : nullptr,
+        step_coeffs.data(), coeffs_new.data());
     psi.apply_into(coeffs_new, x_new);
     phi.apply_into(x_new, u_new);
 
     // q̃ = prox_{ΣF*}(q + ΣK(2x̃ − x)), block by block through Moreau.
     // Ball: q̃₁ = max(0, 1 − σ_ball·σ/‖v‖)·v, v = q₁ + σ_ball(2Φx̃ − Φx − y).
-    for (std::size_t i = 0; i < m; ++i) {
-      q1_new[i] = q1[i] + sigma_ball * (2.0 * u_new[i] - u[i] - y[i]);
-    }
+    ball_step(m, sigma_ball, q1.data(), u_new.data(), u.data(), y.data(),
+              q1_new.data());
     const double v_norm = linalg::norm2(q1_new);
     const double shrink =
         v_norm > 0.0 ? std::max(0.0, 1.0 - sigma_ball * sigma / v_norm) : 0.0;
@@ -247,25 +305,17 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     phi.apply_adjoint_into(q1_new, kq_new);
 
     // Over-relaxation z ← z + ρ(z̃ − z) of the iterate and of its carried
-    // products.  The box block's q̃₂ = v − σ_box·clamp(v/σ_box, l, u),
-    // v = q₂ + σ_box(2x̃ − x), is formed in the same pass over the samples.
-    constexpr double rho = kRelaxation;
-    for (std::size_t i = 0; i < m; ++i) {
-      u[i] += rho * (u_new[i] - u[i]);
-      q1[i] += rho * (q1_new[i] - q1[i]);
+    // products.  The box block's q̃₂ reads the x before the relaxation and
+    // completes kq_new = Φᵀq̃₁ + q̃₂.
+    relax(m, u_new.data(), u.data());
+    relax(m, q1_new.data(), q1.data());
+    if (box) {
+      box_step(n, sigma_box, box->lower.data(), box->upper.data(),
+               x_new.data(), x.data(), q2.data(), kq_new.data());
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (box) {
-        const double v = q2[i] + sigma_box * (2.0 * x_new[i] - x[i]);
-        const double q2_new = std::max(v - sigma_box * box->upper[i], 0.0) +
-                              std::min(v - sigma_box * box->lower[i], 0.0);
-        kq_new[i] += q2_new;
-        q2[i] += rho * (q2_new - q2[i]);
-      }
-      x[i] += rho * (x_new[i] - x[i]);
-      coeffs[i] += rho * (coeffs_new[i] - coeffs[i]);
-      kq[i] += rho * (kq_new[i] - kq[i]);
-    }
+    relax(n, x_new.data(), x.data());
+    relax(n, coeffs_new.data(), coeffs.data());
+    relax(n, kq_new.data(), kq.data());
 
     // Adaptive primal weight (PDLP): ω ← √(ω·‖Δq‖/‖Δx‖) over the last
     // kWeightEvery iterations, with the dual blocks in their own metric.

@@ -7,12 +7,6 @@
 
 namespace csecg::recovery {
 
-double soft_threshold(double value, double threshold) noexcept {
-  if (value > threshold) return value - threshold;
-  if (value < -threshold) return value + threshold;
-  return 0.0;
-}
-
 linalg::Vector soft_threshold(const linalg::Vector& v, double threshold) {
   CSECG_CHECK(threshold >= 0.0, "soft_threshold: negative threshold");
   linalg::Vector out(v.size());

@@ -68,31 +68,61 @@ linalg::LinearOperator RmpiSimulator::effective_operator() const {
   return linalg::LinearOperator::from_matrix(effective_matrix());
 }
 
+namespace {
+
+/// Channels integrated per pass over the samples: independent recurrences
+/// that hide each other's multiply-add latency.
+constexpr std::size_t kChannelBlock = 8;
+
+/// Integrates channels c0..c0+B−1 of `chips` over the window x into
+/// y[c0..c0+B−1].  Each channel runs the serial leaky-integrator
+/// recurrence acc ← acc·keep + chip·x[k]; only the channels interleave.
+template <std::size_t B>
+void integrate_channels(const linalg::Matrix& chips, std::size_t c0,
+                        const double* x, std::size_t n, double keep,
+                        double* y) {
+  const double* rows[B];
+  for (std::size_t r = 0; r < B; ++r) rows[r] = chips.row(c0 + r);
+  double acc[B] = {};
+  for (std::size_t k = 0; k < n; ++k) {
+    const double v = x[k];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < B; ++r) {
+      acc[r] = acc[r] * keep + rows[r][k] * v;
+    }
+  }
+  for (std::size_t r = 0; r < B; ++r) y[c0 + r] = acc[r];
+}
+
+}  // namespace
+
 linalg::Vector RmpiSimulator::measure_unquantized(
     const linalg::Vector& x) const {
   CSECG_CHECK(x.size() == config_.window,
               "RmpiSimulator::measure expected window of "
                   << config_.window << ", got " << x.size());
   const double keep = 1.0 - config_.integrator_leakage;
-  linalg::Vector y(config_.channels);
-  for (std::size_t c = 0; c < config_.channels; ++c) {
-    const double* chip_row = chips_.row(c);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < config_.window; ++k) {
-      acc = acc * keep + chip_row[k] * x[k];
-    }
-    if (!std::isfinite(acc)) {
-      // A NaN integrator output means a NaN input sample — fail with the
-      // channel index instead of letting the ADC see it.  ±inf (saturated
-      // accumulation) is counted and left for the ADC to clamp.
-      CSECG_CHECK(!std::isnan(acc),
-                  "RmpiSimulator::measure: NaN integrator output on channel "
-                      << c);
-      static obs::Counter& nonfinite =
-          obs::counter("rmpi.nonfinite_integrator_outputs");
-      nonfinite.add();
-    }
-    y[c] = acc;
+  const std::size_t m = config_.channels;
+  linalg::Vector y(m);
+  std::size_t c = 0;
+  for (; c + kChannelBlock <= m; c += kChannelBlock) {
+    integrate_channels<kChannelBlock>(chips_, c, x.data(), x.size(), keep,
+                                      y.data());
+  }
+  for (; c < m; ++c) {
+    integrate_channels<1>(chips_, c, x.data(), x.size(), keep, y.data());
+  }
+  for (c = 0; c < m; ++c) {
+    if (std::isfinite(y[c])) continue;
+    // A NaN integrator output means a NaN input sample — fail with the
+    // channel index instead of letting the ADC see it.  ±inf (saturated
+    // accumulation) is counted and left for the ADC to clamp.
+    CSECG_CHECK(!std::isnan(y[c]),
+                "RmpiSimulator::measure: NaN integrator output on channel "
+                    << c);
+    static obs::Counter& nonfinite =
+        obs::counter("rmpi.nonfinite_integrator_outputs");
+    nonfinite.add();
   }
   return y;
 }

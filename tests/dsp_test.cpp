@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 #include <thread>
@@ -225,6 +226,96 @@ TEST(Dwt, SharedTransformIsThreadSafeAndBitStable) {
   }
   for (auto& thread : threads) thread.join();
   for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+}
+
+// The textbook periodized filter bank, one serial add chain per output:
+// analysis gathers a_i = Σ_k h[k]·x[(2i+k) mod len] in ascending k, and
+// synthesis scatters h[k]·a_i + g[k]·d_i to x[(2i+k) mod len] for ascending
+// i, then ascending k.  These loops define the transform's summation order.
+void reference_forward(const Wavelet& w, int levels, const Vector& x,
+                       Vector& coeffs) {
+  const std::size_t n = x.size();
+  const std::size_t flen = w.length();
+  coeffs = Vector(n);
+  Vector current = x;
+  std::size_t len = n;
+  for (int level = 0; level < levels; ++level) {
+    const std::size_t half = len / 2;
+    Vector approx(half);
+    for (std::size_t i = 0; i < half; ++i) {
+      double a = 0.0;
+      double d = 0.0;
+      for (std::size_t k = 0; k < flen; ++k) {
+        const double v = current[(2 * i + k) % len];
+        a += w.lowpass[k] * v;
+        d += w.highpass[k] * v;
+      }
+      approx[i] = a;
+      coeffs[half + i] = d;
+    }
+    for (std::size_t i = 0; i < half; ++i) current[i] = approx[i];
+    len = half;
+  }
+  for (std::size_t i = 0; i < len; ++i) coeffs[i] = current[i];
+}
+
+void reference_inverse(const Wavelet& w, int levels, const Vector& coeffs,
+                       Vector& x) {
+  const std::size_t n = coeffs.size();
+  const std::size_t flen = w.length();
+  x = coeffs;
+  std::size_t half = n >> levels;
+  for (int level = levels - 1; level >= 0; --level) {
+    const std::size_t len = 2 * half;
+    Vector merged(len, 0.0);
+    for (std::size_t i = 0; i < half; ++i) {
+      const double a = x[i];
+      const double d = x[half + i];
+      for (std::size_t k = 0; k < flen; ++k) {
+        merged[(2 * i + k) % len] += w.lowpass[k] * a + w.highpass[k] * d;
+      }
+    }
+    for (std::size_t i = 0; i < len; ++i) x[i] = merged[i];
+    half = len;
+  }
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Dwt, KernelsMatchTheTextbookLoopsBitForBit) {
+  // Every family, every legal level count (including levels shorter than
+  // the filter, where taps wrap more than once), on dense signals and on
+  // sparse coefficient vectors like the ones soft thresholding produces.
+  for (const WaveletFamily family : all_wavelet_families()) {
+    const Wavelet w = make_wavelet(family);
+    for (const std::size_t n : {8u, 64u, 360u, 512u, 1024u}) {
+      for (int levels = 1; levels <= Dwt::max_levels(n); ++levels) {
+        const Dwt dwt(family, n, levels);
+        Vector x = random_signal(n, 1000 + n);
+        Vector sparse = random_signal(n, 2000 + n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (i % 3 != 0) sparse[i] = 0.0;
+        }
+        for (const Vector* input : {&x, &sparse}) {
+          Vector got;
+          Vector want;
+          dwt.forward_into(*input, got);
+          reference_forward(w, levels, *input, want);
+          EXPECT_TRUE(same_bits(got, want))
+              << "forward " << wavelet_name(family) << " n=" << n
+              << " levels=" << levels;
+          dwt.inverse_into(*input, got);
+          reference_inverse(w, levels, *input, want);
+          EXPECT_TRUE(same_bits(got, want))
+              << "inverse " << wavelet_name(family) << " n=" << n
+              << " levels=" << levels;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

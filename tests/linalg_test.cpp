@@ -548,6 +548,56 @@ TEST(SignMatrix, SharedOperatorIsBitIdenticalAcrossThreads) {
   }
 }
 
+TEST(SignMatrix, SelectedRowsMatchFromMatrixOfTheRowCopy) {
+  // The lossy decoder drops lost measurements by selecting rows of the
+  // cached sign form; the result must be the operator from_matrix builds
+  // from a dense copy of the kept rows, bit for bit.  m = 98 keeps every
+  // kept-row count here off a multiple of the kernel's group of four.
+  constexpr std::size_t m = 98;
+  constexpr std::size_t n = 512;
+  std::uint64_t seed = 1000;
+  for (const double leakage : {0.0, 0.05}) {
+    const Matrix a = chip_matrix(m, n, leakage, seed++);
+    const auto signs = SignMatrix::from_dense(a);
+    ASSERT_TRUE(signs.has_value());
+    for (const std::size_t dropped : {0u, 1u, 5u, 97u}) {
+      std::vector<std::uint8_t> keep(m, 1);
+      rng::Xoshiro256 g(seed++);
+      for (std::size_t d = 0; d < dropped;) {
+        const auto i = static_cast<std::size_t>(rng::uniform_below(g, m));
+        if (keep[i] != 0) {
+          keep[i] = 0;
+          ++d;
+        }
+      }
+      Matrix copy(m - dropped, n);
+      std::size_t row = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (keep[i] == 0) continue;
+        for (std::size_t j = 0; j < n; ++j) copy(row, j) = a(i, j);
+        ++row;
+      }
+      const LinearOperator want = LinearOperator::from_matrix(copy);
+      const LinearOperator got =
+          LinearOperator::from_signs(signs->select_rows(keep));
+      ASSERT_EQ(got.rows(), m - dropped);
+      ASSERT_EQ(got.cols(), n);
+      const Vector x = random_vector(n, seed++);
+      const Vector q = random_vector(m - dropped, seed++);
+      EXPECT_TRUE(same_bits(got.apply(x), want.apply(x)))
+          << "dropped " << dropped << " leakage " << leakage;
+      EXPECT_TRUE(same_bits(got.apply_adjoint(q), want.apply_adjoint(q)))
+          << "dropped " << dropped << " leakage " << leakage;
+    }
+  }
+  EXPECT_THROW(SignMatrix::from_dense(chip_matrix(4, 8, 0.0, 1))
+                   ->select_rows(std::vector<std::uint8_t>(4, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(SignMatrix::from_dense(chip_matrix(4, 8, 0.0, 1))
+                   ->select_rows(std::vector<std::uint8_t>(3, 1)),
+               std::invalid_argument);
+}
+
 TEST(LinearOperator, DimensionValidation) {
   const LinearOperator op =
       LinearOperator::from_matrix(random_matrix(4, 6, 16));

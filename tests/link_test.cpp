@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "csecg/core/frontend.hpp"
+#include "csecg/dsp/dwt.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/link/arq.hpp"
 #include "csecg/link/channel.hpp"
@@ -15,7 +16,10 @@
 #include "csecg/link/packet.hpp"
 #include "csecg/link/packetizer.hpp"
 #include "csecg/link/session.hpp"
+#include "csecg/linalg/solve.hpp"
 #include "csecg/metrics/quality.hpp"
+#include "csecg/recovery/pdhg.hpp"
+#include "csecg/sensing/rmpi.hpp"
 #include "csecg/rng/xoshiro.hpp"
 
 namespace csecg::link {
@@ -402,6 +406,66 @@ TEST_F(LinkTest, SnrDegradesGracefullyWithRowLoss) {
     EXPECT_LT(snr[i], snr[0] + 1.0);  // No gain from losing rows.
     EXPECT_GT(snr[i], 5.0);           // Never catastrophic.
   }
+}
+
+TEST_F(LinkTest, RowDroppedDecodeMatchesTheRowCopySolveBitForBit) {
+  // The decoder selects the surviving rows from Φ's cached sign form and
+  // their Gram matrix from the cached ΦΦᵀ.  Both must reproduce the solve
+  // on a dense copy of the kept rows exactly: operator, least-norm warm
+  // start (no low-res fields, so no box) and iterate.
+  const core::Encoder encoder(config(), lowres());
+  const core::Decoder decoder(config(), lowres());
+  const linalg::Vector window = database().record(1).window(300, 256);
+  core::LossyWindow lossy = full_delivery_window(encoder, window);
+  lossy.lowres_codes.clear();
+  lossy.lowres_mask.clear();
+  const std::size_t m = config().measurements;
+  for (const std::size_t i : {0u, 3u, 10u, 11u, 29u, 47u}) {
+    lossy.measurement_mask[i] = 0;
+  }
+  const core::LossyDecodeResult got = decoder.decode_lossy(lossy);
+
+  sensing::RmpiConfig rmpi;
+  rmpi.channels = m;
+  rmpi.window = config().window;
+  rmpi.chip_seed = config().chip_seed;
+  rmpi.integrator_leakage = config().integrator_leakage;
+  const linalg::Matrix phi = sensing::RmpiSimulator(rmpi).effective_matrix();
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (lossy.measurement_mask[i] != 0) kept.push_back(i);
+  }
+  linalg::Matrix sub(kept.size(), config().window);
+  linalg::Vector y(kept.size());
+  for (std::size_t r = 0; r < kept.size(); ++r) {
+    for (std::size_t j = 0; j < config().window; ++j) {
+      sub(r, j) = phi(kept[r], j);
+    }
+    y[r] = lossy.measurements[kept[r]];
+  }
+  const linalg::LinearOperator phi_sub =
+      linalg::LinearOperator::from_matrix(sub);
+  recovery::PdhgOptions options = config().solver;
+  options.phi_norm_hint = linalg::operator_norm_estimate(
+      linalg::LinearOperator::from_matrix(phi), 60);
+  options.x0 = phi_sub.apply_adjoint(
+      linalg::Cholesky(linalg::multiply(sub, linalg::transpose(sub)))
+          .solve(y));
+  const dsp::Dwt dwt(config().wavelet, config().window,
+                     config().wavelet_levels);
+  const double sigma =
+      decoder.sigma() * std::sqrt(static_cast<double>(kept.size()) /
+                                  static_cast<double>(m));
+  const recovery::PdhgResult want = recovery::solve_bpdn(
+      phi_sub, dwt.synthesis_operator(), y, sigma, std::nullopt, options);
+
+  EXPECT_FALSE(got.used_box);
+  EXPECT_EQ(got.effective_m, kept.size());
+  EXPECT_EQ(got.solver.iterations, want.iterations);
+  ASSERT_EQ(got.solver.x.size(), want.x.size());
+  EXPECT_EQ(std::memcmp(got.solver.x.data(), want.x.data(),
+                        want.x.size() * sizeof(double)),
+            0);
 }
 
 TEST_F(LinkTest, WholeCsTrainLossFallsBackToLowRes) {

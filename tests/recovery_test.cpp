@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "csecg/linalg/matrix.hpp"
@@ -60,6 +62,34 @@ TEST(Prox, SoftThresholdScalar) {
   EXPECT_DOUBLE_EQ(soft_threshold(0.5, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(soft_threshold(-0.5, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(soft_threshold(2.0, 0.0), 2.0);
+}
+
+TEST(Prox, SoftThresholdIsBitIdenticalToTheBranchingDefinition) {
+  // The branch-free inline form must return exactly what the textbook
+  // branches return, including the sign of zero, at the threshold, and
+  // for NaN and infinite values or thresholds.
+  const auto branching = [](double value, double threshold) {
+    if (value > threshold) return value - threshold;
+    if (value < -threshold) return value + threshold;
+    return 0.0;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double thresholds[] = {0.0, -0.0, tiny, 0.75, 1.0, 3.0, 1e300, inf,
+                               nan};
+  for (const double t : thresholds) {
+    const double values[] = {0.0,  -0.0, t,    -t,    std::nextafter(t, inf),
+                             std::nextafter(t, -inf),  -std::nextafter(t, inf),
+                             tiny, -tiny, 0.5,  -0.5,  2.0,
+                             -2.0, 1e308, -1e308, inf, -inf, nan};
+    for (const double v : values) {
+      const double got = soft_threshold(v, t);
+      const double want = branching(v, t);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "v=" << v << " t=" << t << " got " << got << " want " << want;
+    }
+  }
 }
 
 TEST(Prox, SoftThresholdVector) {

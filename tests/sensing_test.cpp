@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "csecg/linalg/matrix.hpp"
 #include "csecg/linalg/sign_matrix.hpp"
+#include "csecg/obs/registry.hpp"
 #include "csecg/rng/distributions.hpp"
 #include "csecg/rng/xoshiro.hpp"
 #include "csecg/sensing/lowres_channel.hpp"
@@ -404,6 +407,114 @@ TEST(Rmpi, EffectiveMatrixHasTheSignStructure) {
     EXPECT_TRUE(linalg::SignMatrix::from_dense(rmpi.effective_matrix())
                     .has_value())
         << "leakage " << leakage;
+  }
+}
+
+/// The integrate-and-dump loop one channel at a time: the recurrence
+/// acc ← acc·keep + chip·x[k] over the window, then the measurement ADC.
+Vector reference_measure(const RmpiSimulator& rmpi, const Vector& x) {
+  const RmpiConfig& config = rmpi.config();
+  const double keep = 1.0 - config.integrator_leakage;
+  Vector y(config.channels);
+  for (std::size_t c = 0; c < config.channels; ++c) {
+    const double* chip_row = rmpi.chips().row(c);
+    double acc = 0.0;
+    for (std::size_t k = 0; k < config.window; ++k) {
+      acc = acc * keep + chip_row[k] * x[k];
+    }
+    y[c] = acc;
+  }
+  if (rmpi.adc()) {
+    for (auto& v : y) v = rmpi.adc()->reconstruct(rmpi.adc()->code(v));
+  }
+  return y;
+}
+
+TEST(Rmpi, MeasureMatchesTheSerialIntegratorBitForBit) {
+  // Channel counts around the interleaving block (8) and the design
+  // points, with and without leakage, with and without the ADC.
+  for (const std::size_t channels : {1u, 7u, 8u, 9u, 96u, 97u, 240u}) {
+    for (const double leakage : {0.0, 0.01}) {
+      for (const int adc_bits : {0, 12}) {
+        RmpiConfig config;
+        config.channels = channels;
+        config.window = 512;
+        config.integrator_leakage = leakage;
+        config.adc_bits = adc_bits;
+        const RmpiSimulator rmpi(config);
+        rng::Xoshiro256 gen(channels);
+        Vector x(512);
+        for (auto& v : x) v = rng::uniform(gen, -150.0, 150.0);
+        const Vector got = rmpi.measure(x);
+        const Vector want = reference_measure(rmpi, x);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "channels " << channels << " leakage " << leakage << " adc "
+            << adc_bits;
+      }
+    }
+  }
+}
+
+TEST(Rmpi, NonFiniteOutputsThrowOnTheLowestNanChannelAndCountInfinities) {
+  RmpiConfig config;
+  config.channels = 97;
+  config.window = 128;
+  config.adc_bits = 0;
+  const RmpiSimulator rmpi(config);
+  obs::Counter& nonfinite = obs::counter("rmpi.nonfinite_integrator_outputs");
+  const double inf = std::numeric_limits<double>::infinity();
+
+  // One +inf sample saturates every channel to ±inf: all are counted.
+  Vector x(128, 1.0);
+  x[5] = inf;
+  std::uint64_t before = nonfinite.value();
+  const Vector y = rmpi.measure_unquantized(x);
+  EXPECT_EQ(nonfinite.value() - before, config.channels);
+  for (const double v : y) EXPECT_TRUE(std::isinf(v));
+
+  // Two +inf samples: a channel whose chips differ there sums +inf − inf
+  // = NaN, one whose chips agree stays ±inf.  The second sample is picked
+  // so that channels 0 and 1 agree; the error must name the lowest NaN
+  // channel, after the infinite channels below it were counted.
+  const auto agree = [&](std::size_t c, std::size_t k) {
+    return rmpi.chips()(c, 5) == rmpi.chips()(c, k);
+  };
+  std::size_t second = 6;
+  while (!(agree(0, second) && agree(1, second))) ++second;
+  x[second] = inf;
+  std::size_t first_nan = config.channels;
+  for (std::size_t c = 0; c < config.channels; ++c) {
+    if (!agree(c, second)) {
+      first_nan = c;
+      break;
+    }
+  }
+  ASSERT_GE(first_nan, 2u);
+  ASSERT_LT(first_nan, config.channels);
+  before = nonfinite.value();
+  try {
+    rmpi.measure_unquantized(x);
+    ADD_FAILURE() << "NaN integrator output did not throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("channel " + std::to_string(first_nan)),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(nonfinite.value() - before, first_nan);
+
+  // A NaN sample poisons every channel, so channel 0 is named.
+  Vector nan_x(128, 1.0);
+  nan_x[3] = std::numeric_limits<double>::quiet_NaN();
+  try {
+    rmpi.measure(nan_x);
+    ADD_FAILURE() << "NaN input did not throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("channel 0"), std::string::npos)
+        << error.what();
   }
 }
 

@@ -226,6 +226,51 @@ TEST_F(TraceTest, RunRecordLedgerIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial_ledger.find(",\","), std::string::npos);
 }
 
+TEST_F(TraceTest, LedgerDiffFindsNoMoversInACopyAndReportsAOneFieldEdit) {
+  ecg::RecordConfig record_config;
+  record_config.duration_seconds = 20.0;
+  const ecg::SyntheticDatabase database(record_config, 2015);
+  const core::FrontEndConfig config = small_config();
+  const auto codec_book = core::train_lowres_codec(config, database, 2, 2);
+  const core::Codec codec(config, codec_book);
+  obs::set_ledger_enabled(true);
+  parallel::ThreadPool serial(1);
+  (void)core::run_database(codec, database, 2, 3, core::DecodeMode::kAuto,
+                           serial);
+  const std::string ledger = obs::ledger_jsonl();
+
+  const obs::LedgerDiff same = obs::diff_ledgers(ledger, ledger);
+  EXPECT_EQ(same.matched, 6u);
+  EXPECT_TRUE(same.movers.empty());
+  EXPECT_TRUE(same.problems.empty());
+  EXPECT_EQ(same.status(), 0);
+
+  // Bump the iteration count of the second row: exactly that window
+  // moves, by exactly that field.
+  std::string edited = ledger;
+  const std::size_t row2 = edited.find('\n') + 1;
+  const std::size_t at = edited.find("\"iterations\":", row2) + 13;
+  const std::size_t end = edited.find(',', at);
+  const long long iterations = std::stoll(edited.substr(at, end - at));
+  edited.replace(at, end - at, std::to_string(iterations + 7));
+  const obs::LedgerDiff moved = obs::diff_ledgers(ledger, edited);
+  EXPECT_EQ(moved.matched, 6u);
+  ASSERT_EQ(moved.movers.size(), 1u);
+  EXPECT_EQ(moved.movers[0].window, 1u);
+  EXPECT_EQ(moved.movers[0].fields, std::vector<std::string>{"iterations"});
+  EXPECT_EQ(moved.movers[0].delta_iterations, 7);
+  EXPECT_EQ(moved.movers[0].delta_snr, 0.0);
+  EXPECT_FALSE(moved.movers[0].convergence_flip);
+  EXPECT_EQ(moved.status(), 1);
+
+  // A missing row or a line that is not a ledger row is a problem.
+  const std::string truncated = ledger.substr(0, row2) + "not json\n";
+  const obs::LedgerDiff broken = obs::diff_ledgers(ledger, truncated);
+  EXPECT_EQ(broken.matched, 1u);
+  EXPECT_EQ(broken.problems.size(), 6u);  // 1 malformed + 5 unmatched.
+  EXPECT_EQ(broken.status(), 2);
+}
+
 TEST_F(TraceTest, LedgerDisabledRecordsNoRows) {
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 20.0;

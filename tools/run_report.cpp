@@ -17,10 +17,23 @@
 //
 // The ledger rows contain only deterministic fields, so two runs with
 // different CSECG_THREADS settings produce byte-identical --ledger output.
+//
+//   run_report --diff BASE.jsonl NEW.jsonl
+//
+// compares two ledgers window by window instead of running anything: rows
+// are matched by (kind, record, window) and every field is compared on its
+// exact text.  It prints the matched count, ΔSNR and Δiterations, the
+// convergence flips and the 5 worst movers, and exits like cmp: 0 when
+// every window is identical, 1 when some window differs, 2 when a row is
+// malformed or unmatched (or a file cannot be read).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,7 +61,8 @@ struct Options {
   std::fprintf(stderr,
                "run_report: %s\n"
                "usage: run_report [--records N] [--windows N] [--worst N] "
-               "[--link] [--ledger FILE] [--trace FILE] [--snapshot FILE]\n",
+               "[--link] [--ledger FILE] [--trace FILE] [--snapshot FILE]\n"
+               "       run_report --diff BASE.jsonl NEW.jsonl\n",
                message);
   std::exit(1);
 }
@@ -129,6 +143,83 @@ void print_worst(std::vector<RankedWindow> ranked, std::size_t worst) {
                 w.window, w.snr, w.prd, w.iterations,
                 w.converged ? "yes" : "NO", w.outlier ? "OUTLIER" : "");
   }
+}
+
+std::optional<std::string> read_file(const char* path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// --diff: compares two ledgers and returns the cmp-style status.
+int run_diff(const char* base_path, const char* new_path) {
+  const auto base = read_file(base_path);
+  const auto changed = read_file(new_path);
+  if (!base || !changed) {
+    std::fprintf(stderr, "run_report: cannot read %s\n",
+                 base ? new_path : base_path);
+    return 2;
+  }
+  const obs::LedgerDiff diff = obs::diff_ledgers(*base, *changed);
+  std::printf("ledger diff: %s -> %s\n", base_path, new_path);
+  std::printf("  %zu windows matched, %zu differ, %zu convergence flips, "
+              "%zu problems\n",
+              diff.matched, diff.movers.size(), diff.convergence_flips,
+              diff.problems.size());
+  if (!diff.movers.empty()) {
+    double snr_sum = 0.0;
+    double snr_max = 0.0;
+    long long iter_sum = 0;
+    long long iter_max = 0;
+    for (const obs::LedgerMover& m : diff.movers) {
+      snr_sum += m.delta_snr;
+      snr_max = std::max(snr_max, std::abs(m.delta_snr));
+      iter_sum += m.delta_iterations;
+      iter_max = std::max(iter_max, std::abs(m.delta_iterations));
+    }
+    const double movers = static_cast<double>(diff.movers.size());
+    std::printf("  per differing window: mean dSNR %+.6g dB (max |dSNR| "
+                "%.6g), mean diters %+.6g (max |diters| %lld)\n",
+                snr_sum / movers, snr_max,
+                static_cast<double>(iter_sum) / movers, iter_max);
+
+    // Worst first: largest |ΔSNR| (a null SNR counts as largest), then
+    // largest |Δiterations|; ties keep ledger order.
+    std::vector<obs::LedgerMover> worst = diff.movers;
+    const auto snr_size = [](const obs::LedgerMover& m) {
+      return std::isnan(m.delta_snr) ? HUGE_VAL : std::abs(m.delta_snr);
+    };
+    std::stable_sort(worst.begin(), worst.end(),
+                     [&](const obs::LedgerMover& a, const obs::LedgerMover& b) {
+                       if (snr_size(a) != snr_size(b)) {
+                         return snr_size(a) > snr_size(b);
+                       }
+                       return std::abs(a.delta_iterations) >
+                              std::abs(b.delta_iterations);
+                     });
+    worst.resize(std::min<std::size_t>(worst.size(), 5));
+    std::printf("\nworst %zu movers:\n", worst.size());
+    std::printf("  %-12s %-10s %6s %12s %7s %5s %s\n", "kind", "record",
+                "win", "dSNR(dB)", "diters", "flip", "fields");
+    for (const obs::LedgerMover& m : worst) {
+      std::string fields;
+      for (const std::string& f : m.fields) {
+        fields += (fields.empty() ? "" : ",") + f;
+      }
+      std::printf("  %-12s %-10s %6llu %+12.6g %+7lld %5s %s\n",
+                  m.kind.c_str(), m.record.c_str(),
+                  static_cast<unsigned long long>(m.window), m.delta_snr,
+                  m.delta_iterations, m.convergence_flip ? "YES" : "",
+                  fields.c_str());
+    }
+  }
+  if (!diff.problems.empty()) {
+    std::printf("\nproblems:\n");
+    for (const std::string& p : diff.problems) std::printf("  %s\n", p.c_str());
+  }
+  return diff.status();
 }
 
 int run_clean(const Options& opts) {
@@ -226,6 +317,14 @@ int run_link(const Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc >= 2 && std::strcmp(argv[1], "--diff") == 0) {
+    if (argc != 4) {
+      std::fprintf(stderr,
+                   "run_report: --diff takes exactly two ledger files\n");
+      return 2;  // 1 means "the ledgers differ".
+    }
+    return run_diff(argv[2], argv[3]);
+  }
   const Options opts = parse_options(argc, argv);
 
   // The ledger is this tool's raison d'être; tracing only when asked (it
