@@ -94,7 +94,7 @@ int main() {
 
     SweepRow row;
     row.erasure = erasure;
-    row.mean_snr = link::averaged_link_snr(reports);
+    row.mean_snr = core::averaged_snr(reports);
     row.mean_energy_uj = link::averaged_link_energy(reports) * 1e6;
     double prd_sum = 0.0;
     double delivery_sum = 0.0;
@@ -133,7 +133,7 @@ int main() {
 
     ArqRow row;
     row.mode = mode;
-    row.mean_snr = link::averaged_link_snr(reports);
+    row.mean_snr = core::averaged_snr(reports);
     row.mean_energy_uj = link::averaged_link_energy(reports) * 1e6;
     double delivery_sum = 0.0;
     for (const auto& r : reports) {

@@ -1,13 +1,16 @@
-// Tracing/ledger overhead tracker (ISSUE 4).
+// Instrumentation, tracing and ledger overhead tracker.
 //
-// Three interleaved arms over the run_database workload:
+// Three interleaved arms over the run_database workload (one worker, so
+// per-window cost is not hidden behind thread scheduling noise):
 //
 //   dark     obs off, trace off, ledger off — the floor.
 //   default  obs on (the shipping default), trace + ledger off.  The gated
-//            number is this arm's cost over `dark`: the tracing hooks sit
-//            on the encode/decode/solver hot paths even when disarmed, so
-//            this catches a disabled-path regression (a branch that became
-//            an allocation, say).  Bar < 2%, CI gate 5%.
+//            number is this arm's cost over `dark`: the cost of timing
+//            instrumentation, plus the tracing hooks that sit on the
+//            encode/decode/solver hot paths even when disarmed, so it
+//            catches a disabled-path regression (a branch that became an
+//            allocation, say).  Bar < 2%; the exit status is 2 above the
+//            5% CI gate.
 //   tracing  obs + trace + ledger on — the cost of actually recording a
 //            timeline and a quality ledger.  Reported for the record, not
 //            gated: rings fill and the arm pays for JSON-able strings.
@@ -47,7 +50,7 @@ void arm(bool obs_on, bool trace_on, bool ledger_on) {
 
 int main() {
   bench::print_header("bench_trace_overhead",
-                      "ISSUE 4 — tracing + ledger throughput cost");
+                      "instrumentation + tracing + ledger throughput cost");
 
   const auto& database = bench::shared_database();
   core::FrontEndConfig config;
@@ -71,9 +74,7 @@ int main() {
   double tracing_best = 1e300;
   // Machine-load drift across ~second-scale reps dwarfs a 2% effect.
   // Load only ever adds time, so best-of-reps approximates each arm's
-  // unloaded floor and the best-of ratio is the real overhead — the same
-  // estimator bench_obs_overhead uses, with more reps because this bench
-  // compares three arms.
+  // unloaded floor and the best-of ratio is the real overhead.
   std::printf("arm,rep,seconds,windows_per_sec\n");
   for (int rep = 0; rep < kReps; ++rep) {
     arm(false, false, false);

@@ -1,26 +1,14 @@
 // The per-window transmission frame (paper Fig. 1: "collected data from
-// both paths are transmitted at a fixed time window").
-//
-// serialize_frame()/deserialize_frame() define the over-the-air byte
-// layout, so the encoder and decoder can live on different machines:
-//
-//   [magic u16] [window u16] [m u16] [meas_bits u8] [lowres flag u8]
-//   [measurement codes, meas_bits each, MSB-first]
-//   [lowres_bits u32] [lowres payload bytes]
-//
-// Measurements are transported as their ADC codes (the decoder re-derives
-// the reconstruction values from the shared Quantizer), which is what the
-// radio of a real node would send.
+// both paths are transmitted at a fixed time window").  Its on-air form is
+// the link layer's packet train (csecg::link::Packetizer), which carries
+// the measurements as their ADC codes, as the radio of a real node would.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "csecg/linalg/vector.hpp"
-#include "csecg/sensing/quantizer.hpp"
 
 namespace csecg::core {
 
@@ -50,38 +38,5 @@ struct Frame {
   /// Total air bits of the frame.
   std::size_t total_bits() const noexcept { return cs_bits() + lowres_bits; }
 };
-
-/// Serializes a frame to the over-the-air byte layout.  `measurement_adc`
-/// must be the CS channel's measurement quantizer (shared design
-/// knowledge); it converts measurement values to codes.  Throws
-/// std::invalid_argument if a measurement is outside the ADC range or the
-/// frame shape exceeds the format's 16-bit fields.
-std::vector<std::uint8_t> serialize_frame(
-    const Frame& frame, const sensing::Quantizer& measurement_adc);
-
-/// Typed parse failure for over-the-air input, so receivers can tell
-/// "the radio delivered garbage" apart from other failures by type.
-/// Derives from std::invalid_argument to stay compatible with callers
-/// that catch the historical exception type.
-class FrameError : public std::invalid_argument {
- public:
-  explicit FrameError(const std::string& what)
-      : std::invalid_argument(what) {}
-};
-
-/// Parses a serialized frame without throwing on malformed input: every
-/// read is bounds-checked, field values are validated against the shared
-/// ADC design knowledge (bit depth, code range), and trailing garbage is
-/// rejected.  Returns std::nullopt on any defect; when `error` is non-null
-/// it receives a description of the first defect found.
-std::optional<Frame> try_deserialize_frame(
-    const std::vector<std::uint8_t>& bytes,
-    const sensing::Quantizer& measurement_adc,
-    std::string* error = nullptr);
-
-/// Parses a serialized frame.  Throws FrameError on malformed or
-/// truncated input (same validation as try_deserialize_frame).
-Frame deserialize_frame(const std::vector<std::uint8_t>& bytes,
-                        const sensing::Quantizer& measurement_adc);
 
 }  // namespace csecg::core

@@ -199,7 +199,9 @@ std::vector<linalg::Vector> extract_windows(const EcgRecord& record,
   CSECG_CHECK(length > 0 && count > 0,
               "extract_windows: length and count must be positive");
   const auto skip = static_cast<std::size_t>(record.config.fs_hz);
-  CSECG_CHECK(record.size() >= skip + length * count,
+  // Divided, not multiplied: length · count may wrap size_t.
+  CSECG_CHECK(record.size() >= skip &&
+                  (record.size() - skip) / length >= count,
               "extract_windows: record too short ("
                   << record.size() << " samples) for " << count
                   << " windows of " << length);

@@ -19,7 +19,8 @@
 
 namespace csecg::fuzz {
 
-/// The reference measurement ADC for frame fuzzing: 8-bit over [−4, 4).
+/// The reference measurement ADC for packet and reassembler fuzzing: 8-bit
+/// over [−4, 4).
 const sensing::Quantizer& reference_adc();
 
 /// Reference 7-bit delta-Huffman codec (trained on the staircase corpus,

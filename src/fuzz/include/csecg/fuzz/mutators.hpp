@@ -6,7 +6,7 @@
 // alone.  The strategies are the classic decoder-breakers — single-bit
 // flips (desynchronize a Huffman stream), truncation (mid-code stream
 // end), length-field corruption with boundary values (the u8/u16/u32
-// count fields of the frame/packet/codebook layouts), chunk surgery, and
+// count fields of the packet/codebook layouts), chunk surgery, and
 // splicing two valid inputs (valid-prefix + foreign-suffix inputs reach
 // deeper than random noise).
 #pragma once

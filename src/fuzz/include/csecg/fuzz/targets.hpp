@@ -3,12 +3,12 @@
 //
 // The contract under test is uniform (DESIGN.md §9): fed arbitrary
 // bytes, a decoder either returns a value or reports failure through its
-// declared channel (coding::DecodeError, core::FrameError, or
-// std::nullopt) — it never crashes, never trips a sanitizer, and never
-// throws anything else.  run_one() executes one input against that
-// contract and throws ContractViolation (carrying a hex dump of the
-// offending input) on any breach; run_target() drives the deterministic
-// mutate-and-check loop around it.
+// declared channel (coding::DecodeError or std::nullopt) — it never
+// crashes, never trips a sanitizer, and never throws anything else.
+// run_one() executes one input against that contract and throws
+// ContractViolation (carrying a hex dump of the offending input) on any
+// breach; run_target() drives the deterministic mutate-and-check loop
+// around it.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@ namespace csecg::fuzz {
 
 /// The decoders under test.
 enum class Target {
-  kFrame,         ///< core::try_deserialize_frame + deserialize_frame.
   kCodebook,      ///< coding::HuffmanCodebook::deserialize.
   kZeroRun,       ///< coding::ZeroRunDeltaCodec::decode.
   kDeltaHuffman,  ///< coding::DeltaHuffmanCodec::decode.
@@ -36,7 +35,7 @@ enum class Target {
 /// All targets, in declaration order.
 std::vector<Target> all_targets();
 
-/// Stable lower-snake name ("frame", "codebook", ... ) used by the CLI
+/// Stable lower-snake name ("codebook", "zero_run", ... ) used by the CLI
 /// and the tests/corpus/<name>/ directory layout.
 std::string_view target_name(Target target);
 

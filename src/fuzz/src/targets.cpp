@@ -10,7 +10,6 @@
 #include "csecg/coding/bitstream.hpp"
 #include "csecg/coding/decode_error.hpp"
 #include "csecg/common/check.hpp"
-#include "csecg/core/frame.hpp"
 #include "csecg/fuzz/fixtures.hpp"
 #include "csecg/link/packet.hpp"
 #include "csecg/link/packetizer.hpp"
@@ -62,39 +61,6 @@ std::string hex_dump(const Bytes& input) {
 // --- per-target drivers.  Each returns the outcome and lets only
 // *disallowed* exceptions escape; run_one converts those to
 // ContractViolation.
-
-Outcome run_frame(const Bytes& input) {
-  std::string error;
-  const std::optional<core::Frame> parsed =
-      core::try_deserialize_frame(input, reference_adc(), &error);
-  // The throwing and optional parsers must agree defect-for-defect.
-  bool threw = false;
-  try {
-    const core::Frame frame = core::deserialize_frame(input, reference_adc());
-    (void)frame;
-  } catch (const core::FrameError&) {
-    threw = true;
-  }
-  if (parsed.has_value() == threw) {
-    violation(Target::kFrame, input,
-              "try_deserialize_frame and deserialize_frame disagree");
-  }
-  if (!parsed.has_value()) {
-    if (error.empty()) {
-      violation(Target::kFrame, input,
-                "rejected without an error description");
-    }
-    return Outcome::kRejected;
-  }
-  // Accepted frames must round-trip byte-exactly: the parser validated
-  // every field against the shared ADC, so re-serialization is total.
-  const Bytes again = core::serialize_frame(*parsed, reference_adc());
-  if (again != input) {
-    violation(Target::kFrame, input,
-              "accepted frame does not re-serialize to the same bytes");
-  }
-  return Outcome::kAccepted;
-}
 
 Outcome run_codebook(const Bytes& input) {
   coding::HuffmanCodebook book;
@@ -233,27 +199,6 @@ std::vector<Bytes> window_codec_seeds(const Codec& codec, int code_bits) {
   return seeds;
 }
 
-core::Frame reference_frame(bool with_lowres, std::uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
-  core::Frame frame;
-  frame.window = 256;
-  frame.measurement_bits = reference_adc().bits();
-  linalg::Vector measurements(24);
-  for (std::size_t i = 0; i < measurements.size(); ++i) {
-    const std::int64_t code = static_cast<std::int64_t>(
-        rng::uniform_below(gen, static_cast<std::uint64_t>(
-                                    reference_adc().levels())));
-    measurements[i] = reference_adc().reconstruct(code);
-  }
-  frame.measurements = std::move(measurements);
-  if (with_lowres) {
-    const auto corpus = staircase_corpus(7, seed);
-    frame.lowres_payload =
-        reference_delta_codec().encode(corpus[0], frame.lowres_bits);
-  }
-  return frame;
-}
-
 Bytes packed_cs_payload(std::size_t count, std::size_t& bits_out) {
   coding::BitWriter writer;
   for (std::size_t i = 0; i < count; ++i) {
@@ -335,14 +280,12 @@ std::uint64_t fingerprint_step(std::uint64_t fingerprint, const Bytes& input,
 }  // namespace
 
 std::vector<Target> all_targets() {
-  return {Target::kFrame,     Target::kCodebook,  Target::kZeroRun,
-          Target::kDeltaHuffman, Target::kBitReader, Target::kPacket,
-          Target::kReassembler};
+  return {Target::kCodebook,  Target::kZeroRun, Target::kDeltaHuffman,
+          Target::kBitReader, Target::kPacket,  Target::kReassembler};
 }
 
 std::string_view target_name(Target target) {
   switch (target) {
-    case Target::kFrame: return "frame";
     case Target::kCodebook: return "codebook";
     case Target::kZeroRun: return "zero_run";
     case Target::kDeltaHuffman: return "delta_huffman";
@@ -363,7 +306,6 @@ std::optional<Target> target_from_name(std::string_view name) {
 Outcome run_one(Target target, const Bytes& input) {
   try {
     switch (target) {
-      case Target::kFrame: return run_frame(input);
       case Target::kCodebook: return run_codebook(input);
       case Target::kZeroRun:
         return run_window_codec(Target::kZeroRun,
@@ -388,11 +330,6 @@ Outcome run_one(Target target, const Bytes& input) {
 
 std::vector<Bytes> seed_corpus(Target target) {
   switch (target) {
-    case Target::kFrame:
-      return {core::serialize_frame(reference_frame(true, 301),
-                                    reference_adc()),
-              core::serialize_frame(reference_frame(false, 302),
-                                    reference_adc())};
     case Target::kCodebook:
       return {reference_codebook().serialize(),
               reference_zero_run_codec().codebook().serialize(),
@@ -458,26 +395,6 @@ FuzzReport run_target(Target target, std::uint64_t seed,
 
 std::vector<RegressionInput> regression_corpus(Target target) {
   switch (target) {
-    case Target::kFrame: {
-      const Bytes valid =
-          core::serialize_frame(reference_frame(true, 301), reference_adc());
-      Bytes bad_magic = valid;
-      bad_magic[0] ^= 0xFF;
-      Bytes truncated = valid;
-      truncated.resize(truncated.size() - 3);
-      Bytes trailing = valid;
-      trailing.push_back(0xEE);
-      Bytes huge_window = valid;
-      huge_window[2] = 0xFF;
-      huge_window[3] = 0xFF;
-      return {{"empty", {}},
-              {"bad_magic", bad_magic},
-              {"truncated_header", Bytes(valid.begin(), valid.begin() + 4)},
-              {"truncated_payload", truncated},
-              {"trailing_garbage", trailing},
-              {"huge_window_field", huge_window},
-              {"valid_roundtrip", valid}};
-    }
     case Target::kCodebook:
       // Each entry is a by-construction defect deserialize must reject:
       // the Kraft-walk, duplicate-symbol, and empty-table validations

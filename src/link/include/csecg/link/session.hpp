@@ -1,6 +1,6 @@
 // End-to-end telemetry session: the sensor's encoder, the link (packetizer
 // → channel → ARQ → reassembly) and the receiver's loss-resilient decoder,
-// wired into the parallel experiment runner.
+// wired into core's per-window experiment runner.
 //
 // Determinism under threading: a Channel is stateful (RNG + Markov state),
 // so the session never shares one across windows.  Each window draws its
@@ -13,12 +13,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "csecg/coding/delta_huffman_codec.hpp"
 #include "csecg/core/config.hpp"
 #include "csecg/core/frontend.hpp"
+#include "csecg/core/runner.hpp"
 #include "csecg/ecg/record.hpp"
 #include "csecg/link/arq.hpp"
 #include "csecg/link/channel.hpp"
@@ -85,83 +85,45 @@ class LinkSession {
   Reassembler reassembler_;
 };
 
-/// Per-window link experiment metrics (quality + link accounting).
-struct LinkWindowMetrics {
-  double prd = 0.0;  ///< Zero-mean PRD (%) against the raw window.
-  double snr = 0.0;  ///< −20·log10(PRD/100) in dB.
+/// Per-window link experiment metrics: the shared quality block (`solved`
+/// is false on the low-res-only fallback, where no solver ran) plus link
+/// accounting.
+struct LinkWindowMetrics : core::WindowQuality {
   LinkStats stats;
-  double energy_j = 0.0;  ///< Whole-node energy for the window.
-  bool lowres_only = false;
-  bool converged = false;
-  int iterations = 0;             ///< Solver iterations (0 on low-res-only).
-  double ball_violation = 0.0;    ///< Residual excess at solver exit.
-  double box_violation = 0.0;     ///< Worst box-cell excess at solver exit.
-  double gap = 0.0;               ///< Relative duality gap at solver exit.
-  std::uint64_t window_ns = 0;    ///< encode→decode wall time (0 if obs off).
+  double energy_j = 0.0;        ///< Whole-node energy for the window.
+  std::uint64_t window_ns = 0;  ///< encode→decode wall time (0 if obs off).
 };
 
-/// Aggregate over one record crossing the link.
-///
-/// The convergence block mirrors core::RecordReport: `solved_windows`
-/// excludes the low-res-only fallbacks (no solver ran there), so
-/// converged + non_converged == solved_windows always holds.
-struct LinkRecordReport {
-  std::string record_name;
+/// Aggregate over one record crossing the link.  On a lossy link the
+/// MAD-flagged outliers are typically the windows the channel hurt most.
+struct LinkRecordReport : core::RecordQuality {
   std::vector<LinkWindowMetrics> windows;
-  double mean_prd = 0.0;
-  double mean_snr = 0.0;
   double delivery_rate = 1.0;   ///< Unique packets delivered / sent.
   double mean_energy_j = 0.0;
   std::size_t retransmissions = 0;
   std::size_t lowres_only_windows = 0;
-  // --- Solver convergence (ISSUE 3) ---------------------------------------
-  std::size_t solved_windows = 0;         ///< Windows where a solve ran.
-  std::size_t converged_windows = 0;
-  std::size_t non_converged_windows = 0;  ///< Hit the iteration cap.
-  std::uint64_t total_solver_iterations = 0;
-  double max_ball_violation = 0.0;
   // --- Wall time across the whole link pipeline (0 when obs disabled) -----
   double window_seconds = 0.0;
-  // --- Quality-outlier flagging (ISSUE 4) ----------------------------------
-  /// Windows whose SNR fell below the robust MAD fence over this record
-  /// (median − 3.5·1.4826·MAD) — typically the ones the channel hurt most.
-  std::vector<std::size_t> outlier_windows;
-  /// The SNR fence (dB) the flags above were cut at.
-  double outlier_snr_threshold_db = 0.0;
 };
 
-/// Streams `window_count` windows of one record through the session,
-/// decoding windows concurrently on the pool.  `base_sequence` offsets the
-/// windows' global sequence numbers so different records draw disjoint
-/// channel substreams.  Pre-sized slots + ordered reduction keep the
-/// report bit-identical for any thread count.
-LinkRecordReport run_link_record(const LinkSession& session,
-                                 const ecg::EcgRecord& record,
-                                 std::size_t window_count,
-                                 std::uint32_t base_sequence,
-                                 parallel::ThreadPool& pool);
+/// Streams `window_count` windows of one record through the session on
+/// core::run_windows, on the process-wide pool unless handed one.
+/// `base_sequence` offsets the windows' global sequence numbers (channel
+/// substreams and ledger rows of kind "link_window") so different records
+/// draw disjoint substreams.  Throws std::invalid_argument if window_count
+/// is 0 or the record is too short.
+LinkRecordReport run_link_record(
+    const LinkSession& session, const ecg::EcgRecord& record,
+    std::size_t window_count, std::uint32_t base_sequence = 0,
+    parallel::ThreadPool& pool = parallel::global_pool());
 
-/// run_link_record on the process-wide pool.
-LinkRecordReport run_link_record(const LinkSession& session,
-                                 const ecg::EcgRecord& record,
-                                 std::size_t window_count,
-                                 std::uint32_t base_sequence = 0);
-
-/// Runs the first `record_count` database records through the link,
-/// fanning records across the pool; record r's windows use sequences
+/// Runs the first `record_count` database records through the link on
+/// core::run_records; record r's windows use sequences
 /// [r·windows_per_record, (r+1)·windows_per_record).
 std::vector<LinkRecordReport> run_link_database(
     const LinkSession& session, const ecg::SyntheticDatabase& database,
     std::size_t record_count, std::size_t windows_per_record,
-    parallel::ThreadPool& pool);
-
-/// run_link_database on the process-wide pool.
-std::vector<LinkRecordReport> run_link_database(
-    const LinkSession& session, const ecg::SyntheticDatabase& database,
-    std::size_t record_count, std::size_t windows_per_record);
-
-/// Mean of per-record mean SNRs.
-double averaged_link_snr(const std::vector<LinkRecordReport>& reports);
+    parallel::ThreadPool& pool = parallel::global_pool());
 
 /// Mean of per-record mean per-window energies (joules).
 double averaged_link_energy(const std::vector<LinkRecordReport>& reports);

@@ -1,14 +1,10 @@
 #include "csecg/link/session.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "csecg/common/check.hpp"
-#include "csecg/metrics/quality.hpp"
-#include "csecg/metrics/stats.hpp"
 #include "csecg/obs/json.hpp"
-#include "csecg/obs/ledger.hpp"
 #include "csecg/obs/registry.hpp"
 #include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
@@ -59,78 +55,6 @@ power::NodeEnergy price_window(const core::FrontEndConfig& config,
   return power::link_window_energy(cs_path, link.tech, link.node,
                                    stats.data_bits, stats.feedback_bits,
                                    window_seconds);
-}
-
-/// One quality-ledger JSONL row for a window that crossed the link.  Only
-/// deterministic fields (the channel substream is seeded per sequence, so
-/// loss accounting is deterministic too); wall-clock timing stays in the
-/// trace and histograms.
-std::string link_ledger_row(const LinkRecordReport& report, std::size_t w,
-                            std::uint64_t seq,
-                            const core::FrontEndConfig& config,
-                            double sigma_full, bool outlier) {
-  const LinkWindowMetrics& m = report.windows[w];
-  const auto full_m = static_cast<double>(config.measurements);
-  const double sigma_eff =
-      m.lowres_only
-          ? 0.0
-          : sigma_full * std::sqrt(
-                             static_cast<double>(m.stats.effective_m) / full_m);
-  std::string row;
-  row.reserve(420);
-  row += "{\"kind\":\"link_window\",\"record\":";
-  obs::append_json_string(row, report.record_name);
-  row += ",\"seq\":";
-  obs::append_json_u64(row, seq);
-  row += ",\"window\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(w));
-  row += ",\"m\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(config.measurements));
-  row += ",\"m_eff\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.effective_m));
-  row += ",\"sigma\":";
-  obs::append_json_double(row, sigma_eff);
-  row += ",\"solver\":\"pdhg\",\"decode_mode\":\"";
-  row += m.lowres_only ? "lowres_only" : "lossy";
-  row += "\",\"iterations\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(
-                                m.iterations < 0 ? 0 : m.iterations));
-  row += ",\"converged\":";
-  obs::append_json_bool(row, m.converged);
-  row += ",\"ball_violation\":";
-  obs::append_json_double(row, m.ball_violation);
-  row += ",\"box_violation\":";
-  obs::append_json_double(row, m.box_violation);
-  row += ",\"gap\":";
-  obs::append_json_double(row, m.gap);
-  row += ",\"prd\":";
-  obs::append_json_double(row, m.prd);
-  row += ",\"snr\":";
-  obs::append_json_double(row, m.snr);
-  row += ",\"packets\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.packets));
-  row += ",\"delivered\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.delivered));
-  row += ",\"dropped\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.dropped));
-  row += ",\"retransmissions\":";
-  obs::append_json_u64(row,
-                       static_cast<std::uint64_t>(m.stats.retransmissions));
-  row += ",\"crc_failures\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.crc_failures));
-  row += ",\"data_bits\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.data_bits));
-  row += ",\"feedback_bits\":";
-  obs::append_json_u64(row, static_cast<std::uint64_t>(m.stats.feedback_bits));
-  row += ",\"boxed_samples\":";
-  obs::append_json_u64(row,
-                       static_cast<std::uint64_t>(m.stats.boxed_samples));
-  row += ",\"energy_j\":";
-  obs::append_json_double(row, m.energy_j);
-  row += ",\"outlier\":";
-  obs::append_json_bool(row, outlier);
-  row += '}';
-  return row;
 }
 
 }  // namespace
@@ -214,138 +138,105 @@ LinkRecordReport run_link_record(const LinkSession& session,
                                  std::size_t window_count,
                                  std::uint32_t base_sequence,
                                  parallel::ThreadPool& pool) {
-  CSECG_CHECK(window_count > 0,
-              "run_link_record: window_count must be positive");
   const core::FrontEndConfig& config = session.config();
-  const auto windows =
-      ecg::extract_windows(record, config.window, window_count);
-
+  const double sigma_full = session.decoder().sigma();
   LinkRecordReport report;
-  report.record_name = record.name;
+  // Per-window channel substreams keep the loss pattern, hence the
+  // report, identical for any pool size.
+  core::run_windows(
+      report, record, config.window, window_count, pool, base_sequence,
+      [&](const linalg::Vector& window, std::size_t w) {
+        const bool timed = obs::enabled();
+        const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
+        const WindowResult result = session.transmit_window(
+            window, base_sequence + static_cast<std::uint32_t>(w));
+        const std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
 
-  // Pre-sized slots + per-window channel substreams: the loss pattern and
-  // hence the report are identical for any pool size (see run_record).
-  report.windows.resize(windows.size());
-  pool.parallel_for(0, windows.size(), [&](std::size_t w) {
-    const bool timed = obs::enabled();
-    const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
-    const WindowResult result = session.transmit_window(
-        windows[w], base_sequence + static_cast<std::uint32_t>(w));
-    const std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
+        LinkWindowMetrics m;
+        m.score(window, result.decoded.x, result.decoded.solver);
+        m.solved = !result.decoded.lowres_only;
+        m.stats = result.stats;
+        m.energy_j = result.energy.total();
+        m.window_ns = t1 - t0;
+        return m;
+      },
+      // Only deterministic fields: the channel substream is seeded per
+      // sequence, so the loss accounting is deterministic too.
+      [&](std::string& row, const LinkWindowMetrics& m, std::size_t w,
+          std::uint64_t seq) {
+        const double sigma_eff =
+            m.solved ? sigma_full *
+                           std::sqrt(static_cast<double>(m.stats.effective_m) /
+                                     static_cast<double>(config.measurements))
+                     : 0.0;
+        row += "{\"kind\":\"link_window\",\"record\":";
+        obs::append_json_string(row, report.record_name);
+        row += ",\"seq\":";
+        obs::append_json_u64(row, seq);
+        row += ",\"window\":";
+        obs::append_json_u64(row, w);
+        row += ",\"m\":";
+        obs::append_json_u64(row, config.measurements);
+        row += ",\"m_eff\":";
+        obs::append_json_u64(row, m.stats.effective_m);
+        row += ",\"sigma\":";
+        obs::append_json_double(row, sigma_eff);
+        row += ",\"solver\":\"pdhg\",\"decode_mode\":\"";
+        row += m.solved ? "lossy\"" : "lowres_only\"";
+        core::append_quality_fields(row, m);
+        row += ",\"packets\":";
+        obs::append_json_u64(row, m.stats.packets);
+        row += ",\"delivered\":";
+        obs::append_json_u64(row, m.stats.delivered);
+        row += ",\"dropped\":";
+        obs::append_json_u64(row, m.stats.dropped);
+        row += ",\"retransmissions\":";
+        obs::append_json_u64(row, m.stats.retransmissions);
+        row += ",\"crc_failures\":";
+        obs::append_json_u64(row, m.stats.crc_failures);
+        row += ",\"data_bits\":";
+        obs::append_json_u64(row, m.stats.data_bits);
+        row += ",\"feedback_bits\":";
+        obs::append_json_u64(row, m.stats.feedback_bits);
+        row += ",\"boxed_samples\":";
+        obs::append_json_u64(row, m.stats.boxed_samples);
+        row += ",\"energy_j\":";
+        obs::append_json_double(row, m.energy_j);
+      });
 
-    LinkWindowMetrics m;
-    m.prd = metrics::prd_zero_mean(windows[w], result.decoded.x);
-    m.snr = metrics::snr_from_prd(m.prd);
-    m.stats = result.stats;
-    m.energy_j = result.energy.total();
-    m.lowres_only = result.decoded.lowres_only;
-    m.converged = result.decoded.solver.converged;
-    m.iterations = result.decoded.solver.iterations;
-    m.ball_violation = result.decoded.solver.ball_violation;
-    m.box_violation = result.decoded.solver.box_violation;
-    m.gap = result.decoded.solver.gap;
-    m.window_ns = t1 - t0;
-    report.windows[w] = m;
-  });
-
-  double prd_sum = 0.0;
-  double snr_sum = 0.0;
   double energy_sum = 0.0;
   std::uint64_t window_ns_sum = 0;
   std::size_t sent = 0;
   std::size_t delivered = 0;
-  for (const auto& m : report.windows) {
-    prd_sum += m.prd;
-    snr_sum += m.snr;
+  for (const LinkWindowMetrics& m : report.windows) {
     energy_sum += m.energy_j;
     sent += m.stats.packets;
     delivered += m.stats.delivered;
     report.retransmissions += m.stats.retransmissions;
     window_ns_sum += m.window_ns;
-    if (m.lowres_only) {
-      // No solver ran: the decoder emitted the low-res staircase.
-      ++report.lowres_only_windows;
-    } else {
-      ++report.solved_windows;
-      if (m.converged) {
-        ++report.converged_windows;
-      } else {
-        ++report.non_converged_windows;
-      }
-      report.total_solver_iterations +=
-          static_cast<std::uint64_t>(m.iterations);
-      report.max_ball_violation =
-          std::max(report.max_ball_violation, m.ball_violation);
-    }
+    // No solver ran: the decoder emitted the low-res staircase.
+    if (!m.solved) ++report.lowres_only_windows;
   }
-  const auto count = static_cast<double>(report.windows.size());
-  report.mean_prd = prd_sum / count;
-  report.mean_snr = snr_sum / count;
-  report.mean_energy_j = energy_sum / count;
+  report.mean_energy_j =
+      energy_sum / static_cast<double>(report.windows.size());
   report.window_seconds = static_cast<double>(window_ns_sum) * 1e-9;
   report.delivery_rate =
       sent == 0 ? 1.0
                 : static_cast<double>(delivered) / static_cast<double>(sent);
-
-  // Same robust fence as core::run_record; on a lossy link the flagged
-  // windows are usually the ones whose CS train took the worst losses.
-  std::vector<double> snrs(report.windows.size());
-  for (std::size_t w = 0; w < report.windows.size(); ++w) {
-    snrs[w] = report.windows[w].snr;
-  }
-  report.outlier_snr_threshold_db = metrics::mad_low_threshold(snrs);
-  report.outlier_windows = metrics::mad_low_outliers(snrs);
-
-  if (obs::ledger_enabled()) {
-    const double sigma_full = session.decoder().sigma();
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < report.windows.size(); ++w) {
-      const bool outlier = next_outlier < report.outlier_windows.size() &&
-                           report.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      const std::uint64_t seq = static_cast<std::uint64_t>(base_sequence) + w;
-      obs::Ledger::global().append(
-          seq, link_ledger_row(report, w, seq, config, sigma_full, outlier));
-    }
-  }
   return report;
-}
-
-LinkRecordReport run_link_record(const LinkSession& session,
-                                 const ecg::EcgRecord& record,
-                                 std::size_t window_count,
-                                 std::uint32_t base_sequence) {
-  return run_link_record(session, record, window_count, base_sequence,
-                         parallel::global_pool());
 }
 
 std::vector<LinkRecordReport> run_link_database(
     const LinkSession& session, const ecg::SyntheticDatabase& database,
     std::size_t record_count, std::size_t windows_per_record,
     parallel::ThreadPool& pool) {
-  CSECG_CHECK(record_count > 0 && record_count <= database.size(),
-              "run_link_database: record_count out of range");
-  std::vector<LinkRecordReport> reports(record_count);
-  pool.parallel_for(0, record_count, [&](std::size_t r) {
-    const auto base = static_cast<std::uint32_t>(r * windows_per_record);
-    reports[r] = run_link_record(session, database.record(r),
-                                 windows_per_record, base, pool);
-  });
-  return reports;
-}
-
-std::vector<LinkRecordReport> run_link_database(
-    const LinkSession& session, const ecg::SyntheticDatabase& database,
-    std::size_t record_count, std::size_t windows_per_record) {
-  return run_link_database(session, database, record_count,
-                           windows_per_record, parallel::global_pool());
-}
-
-double averaged_link_snr(const std::vector<LinkRecordReport>& reports) {
-  CSECG_CHECK(!reports.empty(), "averaged_link_snr: no reports");
-  double sum = 0.0;
-  for (const auto& r : reports) sum += r.mean_snr;
-  return sum / static_cast<double>(reports.size());
+  return core::run_records(
+      database, record_count, pool,
+      [&](const ecg::EcgRecord& record, std::size_t r) {
+        return run_link_record(
+            session, record, windows_per_record,
+            static_cast<std::uint32_t>(r * windows_per_record), pool);
+      });
 }
 
 double averaged_link_energy(const std::vector<LinkRecordReport>& reports) {

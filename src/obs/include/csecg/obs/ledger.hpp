@@ -1,8 +1,9 @@
 // Per-window quality ledger: one structured JSONL row per decoded window,
 // buffered per thread and merged in deterministic sequence order.
 //
-// The runners (core::run_record, link::run_link_record) append one row per
-// window keyed by the window's global sequence number.  Rows carry only
+// The experiment runner (core::run_windows, behind core::run_record and
+// link::run_link_record) appends one row per window keyed by the window's
+// global sequence number.  Rows carry only
 // deterministic facts — measurement counts, sigma, solver iterations,
 // convergence, residual, PRD/SNR, link accounting — never wall-clock
 // times, so the merged ledger of a run is bit-identical for any thread
@@ -11,7 +12,7 @@
 // Gating mirrors the trace: disabled by default, seeded from the
 // CSECG_LEDGER environment variable, toggled with set_ledger_enabled().
 // Appends from a disabled call site are the caller's responsibility to
-// skip (the runners check ledger_enabled() before building a row string).
+// skip (the runner checks ledger_enabled() before building a row string).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +43,7 @@ class Ledger {
 
   /// Appends one row — a complete JSON object without trailing newline —
   /// under sequence key `seq`.  Callers must hand distinct sequences to
-  /// rows that should keep a relative order (the runners derive them from
+  /// rows that should keep a relative order (the runner derives them from
   /// record index × windows-per-record + window index).
   void append(std::uint64_t seq, std::string row);
 
@@ -57,7 +58,7 @@ class Ledger {
   /// Drops every buffered row (thread buffers stay registered).
   void reset();
 
-  /// The process-wide ledger the runners write to.
+  /// The process-wide ledger the runner writes to.
   static Ledger& global();
 
  private:

@@ -10,8 +10,9 @@
 //    obs::counter("solver.pdhg.solves");` — the name lookup happens once.
 //  * Timing can be switched off globally (obs::set_enabled(false)): spans
 //    stop reading the clock and histograms go quiet, while counters keep
-//    running so reports stay correct.  bench_obs_overhead holds the
-//    < 2% throughput-cost bar for the enabled configuration.
+//    running so reports stay correct.  bench_trace_overhead holds the
+//    < 2% throughput-cost bar for the enabled configuration (its
+//    `default` arm over its `dark` arm).
 //
 // Naming scheme: dotted lower_snake paths `<module>.<unit>.<event>`, e.g.
 // `solver.pdhg.non_converged`, `quantizer.clamped_high`,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -433,6 +434,11 @@ TEST(Windows, TooShortRecordThrows) {
   config.duration_seconds = 2.0;
   const SyntheticDatabase db(config, 7);
   EXPECT_THROW(extract_windows(db.record(0), 512, 10),
+               std::invalid_argument);
+  // A count whose total length wraps size_t is too long too, not a
+  // passed check followed by a giant allocation.
+  const std::size_t wraps = std::numeric_limits<std::size_t>::max() / 512 + 1;
+  EXPECT_THROW(extract_windows(db.record(0), 512, wraps),
                std::invalid_argument);
 }
 

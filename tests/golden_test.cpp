@@ -66,14 +66,6 @@ TEST(Golden, ZeroRunPayload) {
   EXPECT_EQ(bits, 17u);
 }
 
-TEST(Golden, FrameSeedBytes) {
-  EXPECT_EQ(
-      hex(fuzz::seed_corpus(fuzz::Target::kFrame)[0]),
-      "c5e6010000180801674a1e1184f190e1b806b273ae0fc89b25601b31347f70bf"
-      "0000013280400030000c001881810031830400130008000201800c1800080060"
-      "1800180069000020600400");
-}
-
 TEST(Golden, PacketSeedBytes) {
   EXPECT_EQ(hex(fuzz::seed_corpus(fuzz::Target::kPacket)[0]),
             "a70000010000000100000010008000254a6f94b9de03284d7297bce1062b"

@@ -638,6 +638,24 @@ TEST_F(LinkTest, RunLinkRecordIsThreadDeterministic) {
   }
 }
 
+TEST_F(LinkTest, LowResOnlyWindowsStayOutOfTheSolverBlock) {
+  // Nothing gets through: every window falls back to low-res only, so no
+  // solve ran and the runner's convergence block must stay empty.
+  LinkSessionConfig link = lossless_link();
+  link.channel.kind = ChannelKind::kPacketErasure;
+  link.channel.erasure_rate = 1.0;
+  const LinkSession session(config(), lowres(), link);
+  parallel::ThreadPool pool(1);
+  const LinkRecordReport report =
+      run_link_record(session, database().record(0), 3, 0, pool);
+  ASSERT_EQ(report.windows.size(), 3u);
+  EXPECT_EQ(report.lowres_only_windows, 3u);
+  EXPECT_EQ(report.solved_windows, 0u);
+  EXPECT_EQ(report.converged_windows + report.non_converged_windows, 0u);
+  EXPECT_EQ(report.total_solver_iterations, 0u);
+  for (const LinkWindowMetrics& w : report.windows) EXPECT_FALSE(w.solved);
+}
+
 TEST_F(LinkTest, ChannelSubstreamsAreDistinct) {
   const LinkSession session(config(), lowres(), lossless_link());
   EXPECT_NE(session.channel_seed(0), session.channel_seed(1));

@@ -1,7 +1,7 @@
 // Tests for csecg::parallel — pool semantics (coverage, chunk assignment,
 // exception propagation, nesting) and the experiment-layer determinism
-// guarantee: a multi-threaded run_database produces bit-identical
-// RecordReports to the serial run.
+// guarantee: a multi-threaded run_database or run_link_database produces
+// reports bit-identical to the serial run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 
 #include "csecg/core/frontend.hpp"
 #include "csecg/core/runner.hpp"
+#include "csecg/link/session.hpp"
 #include "csecg/parallel/thread_pool.hpp"
 
 namespace csecg {
@@ -117,7 +118,46 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism of the parallel experiment runner.
+// Determinism of the parallel experiment runner, on both paths.
+
+// Exact equality (no tolerance) of the quality blocks both paths share,
+// record and window level; `same_window(a, b)` adds the path's own fields.
+template <typename Report, typename SameWindow>
+void expect_bit_identical(const std::vector<Report>& serial,
+                          const std::vector<Report>& threaded,
+                          const SameWindow& same_window) {
+  ASSERT_EQ(serial.size(), threaded.size());
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    const core::RecordQuality& a = serial[r];
+    const core::RecordQuality& b = threaded[r];
+    EXPECT_EQ(a.record_name, b.record_name);
+    EXPECT_EQ(a.mean_prd, b.mean_prd);
+    EXPECT_EQ(a.mean_snr, b.mean_snr);
+    EXPECT_EQ(a.solved_windows, b.solved_windows);
+    EXPECT_EQ(a.converged_windows, b.converged_windows);
+    EXPECT_EQ(a.non_converged_windows, b.non_converged_windows);
+    EXPECT_EQ(a.total_solver_iterations, b.total_solver_iterations);
+    EXPECT_EQ(a.max_solver_iterations, b.max_solver_iterations);
+    EXPECT_EQ(a.max_ball_violation, b.max_ball_violation);
+    EXPECT_EQ(a.outlier_windows, b.outlier_windows);
+    EXPECT_EQ(a.outlier_snr_threshold_db, b.outlier_snr_threshold_db);
+    ASSERT_EQ(serial[r].windows.size(), threaded[r].windows.size());
+    for (std::size_t w = 0; w < serial[r].windows.size(); ++w) {
+      const core::WindowQuality& qa = serial[r].windows[w];
+      const core::WindowQuality& qb = threaded[r].windows[w];
+      EXPECT_EQ(qa.prd, qb.prd);
+      EXPECT_EQ(qa.snr, qb.snr);
+      EXPECT_EQ(qa.solved, qb.solved);
+      EXPECT_EQ(qa.converged, qb.converged);
+      EXPECT_EQ(qa.iterations, qb.iterations);
+      EXPECT_EQ(qa.ball_violation, qb.ball_violation);
+      EXPECT_EQ(qa.box_violation, qb.box_violation);
+      EXPECT_EQ(qa.gap, qb.gap);
+      EXPECT_EQ(qa.outlier, qb.outlier);
+      same_window(serial[r].windows[w], threaded[r].windows[w]);
+    }
+  }
+}
 
 TEST(ParallelRunner, RunDatabaseIsBitIdenticalAcrossThreadCounts) {
   ecg::RecordConfig record_config;
@@ -140,29 +180,54 @@ TEST(ParallelRunner, RunDatabaseIsBitIdenticalAcrossThreadCounts) {
   const auto threaded_reports =
       core::run_database(codec, database, 4, 2, core::DecodeMode::kAuto,
                          threaded);
-
-  ASSERT_EQ(serial_reports.size(), threaded_reports.size());
+  expect_bit_identical(
+      serial_reports, threaded_reports,
+      [](const core::WindowMetrics& a, const core::WindowMetrics& b) {
+        EXPECT_EQ(a.prd_raw, b.prd_raw);
+        EXPECT_EQ(a.snr_raw, b.snr_raw);
+        EXPECT_EQ(a.cs_bits, b.cs_bits);
+        EXPECT_EQ(a.lowres_bits, b.lowres_bits);
+      });
   for (std::size_t r = 0; r < serial_reports.size(); ++r) {
     const auto& a = serial_reports[r];
     const auto& b = threaded_reports[r];
-    EXPECT_EQ(a.record_name, b.record_name);
-    // Bit-identical aggregates (exact double equality, not tolerance).
-    EXPECT_EQ(a.mean_prd, b.mean_prd);
-    EXPECT_EQ(a.mean_snr, b.mean_snr);
     EXPECT_EQ(a.cs_cr_percent, b.cs_cr_percent);
     EXPECT_EQ(a.overhead_percent, b.overhead_percent);
     EXPECT_EQ(a.net_cr_percent, b.net_cr_percent);
-    ASSERT_EQ(a.windows.size(), b.windows.size());
-    for (std::size_t w = 0; w < a.windows.size(); ++w) {
-      EXPECT_EQ(a.windows[w].prd, b.windows[w].prd);
-      EXPECT_EQ(a.windows[w].snr, b.windows[w].snr);
-      EXPECT_EQ(a.windows[w].prd_raw, b.windows[w].prd_raw);
-      EXPECT_EQ(a.windows[w].snr_raw, b.windows[w].snr_raw);
-      EXPECT_EQ(a.windows[w].cs_bits, b.windows[w].cs_bits);
-      EXPECT_EQ(a.windows[w].lowres_bits, b.windows[w].lowres_bits);
-      EXPECT_EQ(a.windows[w].converged, b.windows[w].converged);
-      EXPECT_EQ(a.windows[w].iterations, b.windows[w].iterations);
-    }
+  }
+
+  // The same database over a lossy link: the per-window channel substreams
+  // keep every loss, hence every report field, thread-count-invariant.
+  link::LinkSessionConfig link_config;
+  link_config.channel.kind = link::ChannelKind::kGilbertElliott;
+  link_config.arq.mode = link::ArqMode::kSelectiveRepeat;
+  const link::LinkSession session(config, lowres_codec, link_config);
+  const auto serial_link =
+      link::run_link_database(session, database, 4, 2, serial);
+  const auto threaded_link =
+      link::run_link_database(session, database, 4, 2, threaded);
+  expect_bit_identical(
+      serial_link, threaded_link,
+      [](const link::LinkWindowMetrics& a, const link::LinkWindowMetrics& b) {
+        EXPECT_EQ(a.stats.packets, b.stats.packets);
+        EXPECT_EQ(a.stats.delivered, b.stats.delivered);
+        EXPECT_EQ(a.stats.dropped, b.stats.dropped);
+        EXPECT_EQ(a.stats.retransmissions, b.stats.retransmissions);
+        EXPECT_EQ(a.stats.crc_failures, b.stats.crc_failures);
+        EXPECT_EQ(a.stats.data_bits, b.stats.data_bits);
+        EXPECT_EQ(a.stats.feedback_bits, b.stats.feedback_bits);
+        EXPECT_EQ(a.stats.backoff_ms, b.stats.backoff_ms);
+        EXPECT_EQ(a.stats.effective_m, b.stats.effective_m);
+        EXPECT_EQ(a.stats.boxed_samples, b.stats.boxed_samples);
+        EXPECT_EQ(a.energy_j, b.energy_j);
+      });
+  for (std::size_t r = 0; r < serial_link.size(); ++r) {
+    const auto& a = serial_link[r];
+    const auto& b = threaded_link[r];
+    EXPECT_EQ(a.delivery_rate, b.delivery_rate);
+    EXPECT_EQ(a.mean_energy_j, b.mean_energy_j);
+    EXPECT_EQ(a.retransmissions, b.retransmissions);
+    EXPECT_EQ(a.lowres_only_windows, b.lowres_only_windows);
   }
 }
 
@@ -178,8 +243,20 @@ TEST(ParallelRunner, DefaultEntryPointsStillValidateArguments) {
   const core::Codec codec(config, std::nullopt);
   EXPECT_THROW(core::run_database(codec, database, 0, 1),
                std::invalid_argument);
+  EXPECT_THROW(core::run_database(codec, database, database.size() + 1, 1),
+               std::invalid_argument);
   EXPECT_THROW(core::run_record(codec, database.record(0), 0),
                std::invalid_argument);
+
+  // The link path shares the runner, and with it the validation.
+  const link::LinkSession session(config, std::nullopt, {});
+  EXPECT_THROW(link::run_link_record(session, database.record(0), 0),
+               std::invalid_argument);
+  EXPECT_THROW(link::run_link_database(session, database, 0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(
+      link::run_link_database(session, database, database.size() + 1, 1),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the tracing ring buffers, the Chrome trace-event export, the
-// per-window quality ledger, and the MAD outlier flags the runners attach
-// to their reports (ISSUE 4).
+// per-window quality ledger, and the MAD outlier flags the runner attaches
+// to both paths' reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -224,6 +224,24 @@ TEST_F(TraceTest, RunRecordLedgerIsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial_ledger.find("\"box_violation\":"), std::string::npos);
   // Locale-proof doubles: no decimal commas anywhere in a ledger number.
   EXPECT_EQ(serial_ledger.find(",\","), std::string::npos);
+
+  // The link path writes its rows through the same runner.
+  link::LinkSessionConfig link_config;
+  link_config.channel.kind = link::ChannelKind::kPacketErasure;
+  link_config.channel.erasure_rate = 0.1;
+  const link::LinkSession session(config, codec_book, link_config);
+  obs::ledger_reset();
+  (void)link::run_link_database(session, database, 2, 4, serial);
+  const std::string serial_link = obs::ledger_jsonl();
+  obs::ledger_reset();
+  (void)link::run_link_database(session, database, 2, 4, threaded);
+  const std::string threaded_link = obs::ledger_jsonl();
+  ASSERT_FALSE(serial_link.empty());
+  EXPECT_EQ(serial_link, threaded_link);
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(serial_link.begin(), serial_link.end(), '\n')),
+            8u);
+  EXPECT_NE(serial_link.find("\"kind\":\"link_window\""), std::string::npos);
 }
 
 TEST_F(TraceTest, LedgerDiffFindsNoMoversInACopyAndReportsAOneFieldEdit) {
@@ -324,6 +342,27 @@ TEST_F(TraceTest, LinkLedgerRowsCarryLossAccounting) {
   }
 }
 
+// Every flagged index is in range and strictly below the fence, unflagged
+// windows are at or above it, and each window's `outlier` flag is exactly
+// its membership in outlier_windows.
+template <typename Report>
+void expect_flags_match_fence(const Report& report) {
+  EXPECT_TRUE(std::isfinite(report.outlier_snr_threshold_db));
+  std::vector<bool> flagged(report.windows.size(), false);
+  for (const std::size_t w : report.outlier_windows) {
+    ASSERT_LT(w, report.windows.size());
+    flagged[w] = true;
+  }
+  for (std::size_t w = 0; w < report.windows.size(); ++w) {
+    EXPECT_EQ(report.windows[w].outlier, flagged[w]) << "window " << w;
+    if (flagged[w]) {
+      EXPECT_LT(report.windows[w].snr, report.outlier_snr_threshold_db);
+    } else {
+      EXPECT_GE(report.windows[w].snr, report.outlier_snr_threshold_db);
+    }
+  }
+}
+
 TEST_F(TraceTest, RunRecordFlagsMadOutliers) {
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 20.0;
@@ -333,22 +372,22 @@ TEST_F(TraceTest, RunRecordFlagsMadOutliers) {
   const core::Codec codec(config, codec_book);
 
   parallel::ThreadPool pool(1);
-  const core::RecordReport report = core::run_record(
-      codec, database.record(0), 4, core::DecodeMode::kAuto, pool);
-  EXPECT_TRUE(std::isfinite(report.outlier_snr_threshold_db));
-  // Every flagged index is in range and strictly below the fence;
-  // unflagged windows are at or above it.
-  std::vector<bool> flagged(report.windows.size(), false);
-  for (const std::size_t w : report.outlier_windows) {
-    ASSERT_LT(w, report.windows.size());
-    flagged[w] = true;
-    EXPECT_LT(report.windows[w].snr, report.outlier_snr_threshold_db);
+  expect_flags_match_fence(core::run_record(
+      codec, database.record(0), 4, core::DecodeMode::kAuto, pool));
+
+  // A lossy link spreads the SNRs out, so a fence is usually cut there.
+  link::LinkSessionConfig link_config;
+  link_config.channel.kind = link::ChannelKind::kPacketErasure;
+  link_config.channel.erasure_rate = 0.2;
+  const link::LinkSession session(config, codec_book, link_config);
+  std::size_t flagged = 0;
+  for (std::size_t r = 0; r < 3; ++r) {
+    const link::LinkRecordReport report =
+        link::run_link_record(session, database.record(r), 6, 0, pool);
+    expect_flags_match_fence(report);
+    flagged += report.outlier_windows.size();
   }
-  for (std::size_t w = 0; w < report.windows.size(); ++w) {
-    if (!flagged[w]) {
-      EXPECT_GE(report.windows[w].snr, report.outlier_snr_threshold_db);
-    }
-  }
+  EXPECT_GT(flagged, 0u);
 }
 
 TEST_F(TraceTest, PipelineStagesShowUpInTrace) {
@@ -372,6 +411,23 @@ TEST_F(TraceTest, PipelineStagesShowUpInTrace) {
         "\"name\":\"decode\"", "\"name\":\"solver.pdhg.solve\""}) {
     EXPECT_NE(json.find(stage), std::string::npos) << stage;
   }
+
+  // A link run goes through the same runner: its windows show up as
+  // runner.window spans and in the runner.* counters too.
+  const link::LinkSession session(config, codec_book, {});
+  obs::trace_reset();
+  const std::uint64_t windows_before = obs::counter("runner.windows").value();
+  const std::uint64_t records_before = obs::counter("runner.records").value();
+  (void)link::run_link_record(session, database.record(0), 3, 0, pool);
+  const std::string link_json = obs::trace_json();
+  expect_balanced_json(link_json);
+  for (const char* stage :
+       {"\"name\":\"runner.window\"", "\"name\":\"link.window\"",
+        "\"name\":\"link.transmit\"", "\"name\":\"solver.pdhg.solve\""}) {
+    EXPECT_NE(link_json.find(stage), std::string::npos) << stage;
+  }
+  EXPECT_EQ(obs::counter("runner.windows").value(), windows_before + 3);
+  EXPECT_EQ(obs::counter("runner.records").value(), records_before + 1);
 }
 
 }  // namespace

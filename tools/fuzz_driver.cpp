@@ -6,8 +6,8 @@
 // contract violation it prints is reproducible with the same flags on
 // any machine — CI runs the exact invocations documented in DESIGN.md §9.
 //
-//   --target NAME    one of frame, codebook, zero_run, delta_huffman,
-//                    bitreader, packet, reassembler, or "all" (default)
+//   --target NAME    one of codebook, zero_run, delta_huffman, bitreader,
+//                    packet, reassembler, or "all" (default)
 //   --seed N         campaign seed (default 1)
 //   --iters N        iterations per target (default 100000)
 //   --corpus DIR     replay every .bin under DIR/<target>/ before fuzzing

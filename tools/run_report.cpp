@@ -17,6 +17,8 @@
 //
 // The ledger rows contain only deterministic fields, so two runs with
 // different CSECG_THREADS settings produce byte-identical --ledger output.
+// Bad arguments exit 1, including a --records or --windows value the
+// 48-record database cannot serve.
 //
 //   run_report --diff BASE.jsonl NEW.jsonl
 //
@@ -27,6 +29,7 @@
 // every window is identical, 1 when some window differs, 2 when a row is
 // malformed or unmatched (or a file cannot be read).
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +37,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,8 +73,9 @@ struct Options {
 
 std::size_t parse_count(const char* text, const char* flag) {
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 1) {
+  if (end == text || *end != '\0' || errno == ERANGE || value < 1) {
     std::fprintf(stderr, "run_report: %s expects a positive integer, got '%s'\n",
                  flag, text);
     std::exit(1);
@@ -115,22 +120,24 @@ bool write_file(const char* path, const std::string& text) {
   return true;
 }
 
-/// A window flattened out of its record report, for the worst-N ranking.
-struct RankedWindow {
-  std::string record;
-  std::size_t window = 0;
-  double snr = 0.0;
-  double prd = 0.0;
-  int iterations = 0;
-  bool converged = false;
-  bool outlier = false;
-};
-
-void print_worst(std::vector<RankedWindow> ranked, std::size_t worst) {
+/// Prints the `worst` windows by SNR across either path's reports.
+template <typename Report>
+void print_worst(const std::vector<Report>& reports, std::size_t worst) {
+  struct Ranked {
+    const std::string* record;
+    std::size_t window;
+    const core::WindowQuality* q;
+  };
+  std::vector<Ranked> ranked;
+  for (const Report& r : reports) {
+    for (std::size_t w = 0; w < r.windows.size(); ++w) {
+      ranked.push_back({&r.record_name, w, &r.windows[w]});
+    }
+  }
   std::sort(ranked.begin(), ranked.end(),
-            [](const RankedWindow& a, const RankedWindow& b) {
-              if (a.snr != b.snr) return a.snr < b.snr;
-              if (a.record != b.record) return a.record < b.record;
+            [](const Ranked& a, const Ranked& b) {
+              if (a.q->snr != b.q->snr) return a.q->snr < b.q->snr;
+              if (*a.record != *b.record) return *a.record < *b.record;
               return a.window < b.window;
             });
   const std::size_t n = std::min(worst, ranked.size());
@@ -138,10 +145,10 @@ void print_worst(std::vector<RankedWindow> ranked, std::size_t worst) {
   std::printf("  %-10s %6s %9s %9s %6s %5s %s\n", "record", "win", "snr(dB)",
               "prd(%)", "iters", "conv", "flag");
   for (std::size_t i = 0; i < n; ++i) {
-    const RankedWindow& w = ranked[i];
-    std::printf("  %-10s %6zu %9.2f %9.2f %6d %5s %s\n", w.record.c_str(),
-                w.window, w.snr, w.prd, w.iterations,
-                w.converged ? "yes" : "NO", w.outlier ? "OUTLIER" : "");
+    const Ranked& w = ranked[i];
+    std::printf("  %-10s %6zu %9.2f %9.2f %6d %5s %s\n", w.record->c_str(),
+                w.window, w.q->snr, w.q->prd, w.q->iterations,
+                w.q->converged ? "yes" : "NO", w.q->outlier ? "OUTLIER" : "");
   }
 }
 
@@ -222,58 +229,29 @@ int run_diff(const char* base_path, const char* new_path) {
   return diff.status();
 }
 
-int run_clean(const Options& opts) {
-  ecg::RecordConfig record_config;
-  record_config.duration_seconds = 30.0;
-  const ecg::SyntheticDatabase database(record_config, 2015);
-
-  core::FrontEndConfig config;
-  config.window = 256;
-  config.measurements = 48;
-  config.wavelet_levels = 4;
-  config.solver.max_iterations = 400;
-  const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
+void run_clean(const Options& opts, const ecg::SyntheticDatabase& database,
+               const core::FrontEndConfig& config,
+               const coding::DeltaHuffmanCodec& lowres_codec) {
   const core::Codec codec(config, lowres_codec);
-
-  const auto reports = core::run_database(codec, database, opts.records,
-                                          opts.windows, core::DecodeMode::kAuto);
+  const auto reports =
+      core::run_database(codec, database, opts.records, opts.windows);
 
   std::printf("clean-codec run: %zu records x %zu windows (n=%zu, m=%zu)\n\n",
               opts.records, opts.windows, config.window, config.measurements);
   std::printf("  %-10s %9s %9s %8s %6s %9s\n", "record", "snr(dB)", "prd(%)",
               "netCR%", "conv", "outliers");
-  std::vector<RankedWindow> ranked;
   for (const auto& r : reports) {
     std::printf("  %-10s %9.2f %9.2f %8.1f %3zu/%zu %9zu\n",
                 r.record_name.c_str(), r.mean_snr, r.mean_prd,
                 r.net_cr_percent, r.converged_windows, r.windows.size(),
                 r.outlier_windows.size());
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < r.windows.size(); ++w) {
-      const bool outlier = next_outlier < r.outlier_windows.size() &&
-                           r.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      ranked.push_back({r.record_name, w, r.windows[w].snr, r.windows[w].prd,
-                        r.windows[w].iterations, r.windows[w].converged,
-                        outlier});
-    }
   }
-  print_worst(std::move(ranked), opts.worst);
-  return 0;
+  print_worst(reports, opts.worst);
 }
 
-int run_link(const Options& opts) {
-  ecg::RecordConfig record_config;
-  record_config.duration_seconds = 30.0;
-  const ecg::SyntheticDatabase database(record_config, 2015);
-
-  core::FrontEndConfig config;
-  config.window = 256;
-  config.measurements = 48;
-  config.wavelet_levels = 4;
-  config.solver.max_iterations = 400;
-  const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
-
+void run_link(const Options& opts, const ecg::SyntheticDatabase& database,
+              const core::FrontEndConfig& config,
+              const coding::DeltaHuffmanCodec& lowres_codec) {
   // The telemetry_link example's ~5% burst-loss channel with selective
   // repeat — the configuration whose outliers are worth staring at.
   link::LinkSessionConfig link;
@@ -293,25 +271,33 @@ int run_link(const Options& opts) {
       opts.records, opts.windows, config.window, config.measurements);
   std::printf("  %-10s %9s %9s %9s %6s %6s %9s\n", "record", "snr(dB)",
               "prd(%)", "delivery", "retx", "conv", "outliers");
-  std::vector<RankedWindow> ranked;
   for (const auto& r : reports) {
     std::printf("  %-10s %9.2f %9.2f %8.1f%% %6zu %3zu/%zu %9zu\n",
                 r.record_name.c_str(), r.mean_snr, r.mean_prd,
                 r.delivery_rate * 100.0, r.retransmissions,
                 r.converged_windows, r.solved_windows,
                 r.outlier_windows.size());
-    std::size_t next_outlier = 0;
-    for (std::size_t w = 0; w < r.windows.size(); ++w) {
-      const bool outlier = next_outlier < r.outlier_windows.size() &&
-                           r.outlier_windows[next_outlier] == w;
-      if (outlier) ++next_outlier;
-      ranked.push_back({r.record_name, w, r.windows[w].snr, r.windows[w].prd,
-                        r.windows[w].iterations, r.windows[w].converged,
-                        outlier});
-    }
   }
-  print_worst(std::move(ranked), opts.worst);
-  return 0;
+  print_worst(reports, opts.worst);
+}
+
+/// Runs the experiment both paths share the setup of.
+void run(const Options& opts) {
+  ecg::RecordConfig record_config;
+  record_config.duration_seconds = 30.0;
+  const ecg::SyntheticDatabase database(record_config, 2015);
+
+  core::FrontEndConfig config;
+  config.window = 256;
+  config.measurements = 48;
+  config.wavelet_levels = 4;
+  config.solver.max_iterations = 400;
+  const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
+  if (opts.link) {
+    run_link(opts, database, config, lowres_codec);
+  } else {
+    run_clean(opts, database, config, lowres_codec);
+  }
 }
 
 }  // namespace
@@ -332,8 +318,13 @@ int main(int argc, char** argv) {
   obs::set_ledger_enabled(true);
   if (opts.trace_path != nullptr) obs::set_trace_enabled(true);
 
-  const int status = opts.link ? run_link(opts) : run_clean(opts);
-  if (status != 0) return status;
+  try {
+    run(opts);
+  } catch (const std::invalid_argument& e) {
+    // A --records or --windows value the database cannot serve.
+    std::fprintf(stderr, "run_report: %s\n", e.what());
+    return 1;
+  }
 
   // Headline counters, straight from the registry the run fed.
   std::printf("\npipeline counters:\n");
