@@ -1,14 +1,9 @@
-// Experiment-runner throughput tracker (ISSUE 1).
+// Experiment-runner throughput tracker.
 //
-// Measures end-to-end run_database decode throughput (windows/sec) for the
-// optimized path at 1 and CSECG_THREADS threads, against a faithful
-// emulation of the seed's serial per-window path: naive single-accumulator
-// gemv/gemvᵀ behind generic std::function operators, with the Ψ operator
-// chain re-materialized every window — exactly what the seed decoder did.
-// Also measures the dense gemv kernel in GFLOP/s (blocked vs naive) and
-// verifies the determinism guarantee (1-thread vs N-thread reports are
-// bit-identical).  Results land in BENCH_runner.json so the perf
-// trajectory is tracked from this PR onward.
+// Measures end-to-end run_database decode throughput (windows/sec) at 1
+// and CSECG_THREADS threads and verifies the determinism guarantee
+// (1-thread vs N-thread reports are bit-identical).  Results land in
+// BENCH_runner.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -16,9 +11,6 @@
 #include "bench_common.hpp"
 #include "csecg/core/runner.hpp"
 #include "csecg/parallel/thread_pool.hpp"
-#include "csecg/recovery/pdhg.hpp"
-#include "csecg/sensing/lowres_channel.hpp"
-#include "csecg/sensing/rmpi.hpp"
 
 namespace {
 
@@ -27,145 +19,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The seed's gemv: one accumulator, no blocking (matrix.cpp @ v0).
-linalg::Vector naive_multiply(const linalg::Matrix& a,
-                              const linalg::Vector& x) {
-  linalg::Vector y(a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.row(i);
-    double acc = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += row[j] * x[j];
-    y[i] = acc;
-  }
-  return y;
-}
-
-/// The seed's gemvᵀ: row-major axpy sweep with the per-row zero branch.
-linalg::Vector naive_multiply_transpose(const linalg::Matrix& a,
-                                        const linalg::Vector& x) {
-  linalg::Vector y(a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.row(i);
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += row[j] * xi;
-  }
-  return y;
-}
-
-/// Re-runs run_database's per-window work the way the seed did it: Φ as a
-/// generic allocating operator over the naive kernels, Ψ re-materialized
-/// per window, the same PDHG solve.  One-time setup (codebook training,
-/// RMPI matrix, Φ norm estimate) happens before the clock starts, mirroring
-/// what the seed decoder did at construction; only the per-window loop is
-/// timed (seconds returned through `elapsed_seconds`).
-std::size_t run_seed_path(const core::Codec& codec,
-                          const coding::DeltaHuffmanCodec& lowres_codec,
-                          const ecg::SyntheticDatabase& database,
-                          std::size_t record_count,
-                          std::size_t windows_per_record,
-                          double& elapsed_seconds) {
-  const core::FrontEndConfig& config = codec.config();
-  sensing::RmpiConfig rmpi_config;
-  rmpi_config.channels = config.measurements;
-  rmpi_config.window = config.window;
-  rmpi_config.chip_seed = config.chip_seed;
-  rmpi_config.integrator_leakage = config.integrator_leakage;
-  rmpi_config.adc_bits = config.measurement_adc_bits;
-  rmpi_config.input_full_scale = config.dc_reference();
-  const sensing::RmpiSimulator rmpi(rmpi_config);
-  const linalg::Matrix phi_dense = rmpi.effective_matrix();
-  const linalg::LinearOperator phi(
-      phi_dense.rows(), phi_dense.cols(),
-      [&phi_dense](const linalg::Vector& v) {
-        return naive_multiply(phi_dense, v);
-      },
-      [&phi_dense](const linalg::Vector& v) {
-        return naive_multiply_transpose(phi_dense, v);
-      });
-  const double phi_norm = linalg::operator_norm_estimate(phi, 60);
-  const double sigma =
-      config.sigma_scale * rmpi.expected_quantization_noise_norm();
-
-  sensing::LowResConfig lowres_config;
-  lowres_config.bits = config.lowres_bits;
-  lowres_config.full_scale_bits = config.record_bits;
-  const sensing::LowResChannel lowres(lowres_config);
-  const dsp::Dwt dwt(config.wavelet, config.window, config.wavelet_levels);
-  const double dc = config.dc_reference();
-
-  std::size_t decoded = 0;
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < record_count; ++r) {
-    const auto windows = ecg::extract_windows(database.record(r),
-                                              config.window,
-                                              windows_per_record);
-    for (const auto& window : windows) {
-      const core::Frame frame = codec.encoder().encode(window);
-      const auto codes =
-          lowres_codec.decode(frame.lowres_payload, config.window);
-      const linalg::Vector lower = lowres.reconstruct(codes);
-      recovery::BoxConstraint box;
-      box.lower = lower;
-      box.upper = lower;
-      const double step = lowres.step();
-      for (std::size_t i = 0; i < config.window; ++i) {
-        box.lower[i] -= dc;
-        box.upper[i] += step - dc;
-      }
-      recovery::PdhgOptions options = config.solver;
-      options.phi_norm_hint = phi_norm;
-      // Fresh operator chain per window, as in the seed decoder.
-      const auto result = recovery::solve_bpdn(
-          phi, dwt.synthesis_operator(), frame.measurements, sigma, box,
-          options);
-      ++decoded;
-      (void)result;
-    }
-  }
-  elapsed_seconds = seconds_since(start);
-  return decoded;
-}
-
-struct KernelRates {
-  double blocked_gflops = 0.0;
-  double naive_gflops = 0.0;
-};
-
-KernelRates gemv_rates(std::size_t m, std::size_t n) {
-  linalg::Matrix a(m, n);
-  linalg::Vector x(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = 1e-3 * static_cast<double>((i * 31 + j * 7) % 97) - 0.05;
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    x[j] = 1e-2 * static_cast<double>((j * 13) % 89) - 0.4;
-  }
-  const double flops_per_call = 2.0 * static_cast<double>(m * n);
-  const int reps = 2000;
-  KernelRates rates;
-  double sink = 0.0;
-
-  linalg::Vector y(m);
-  auto start = Clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    linalg::multiply_into(a, x, y);
-    sink += y[0];
-  }
-  rates.blocked_gflops = flops_per_call * reps / seconds_since(start) / 1e9;
-
-  start = Clock::now();
-  for (int rep = 0; rep < reps; ++rep) {
-    const linalg::Vector z = naive_multiply(a, x);
-    sink += z[0];
-  }
-  rates.naive_gflops = flops_per_call * reps / seconds_since(start) / 1e9;
-  if (sink == 12345.6789) std::printf("#\n");  // Defeat dead-code removal.
-  return rates;
 }
 
 bool reports_bit_identical(const std::vector<core::RecordReport>& a,
@@ -196,7 +49,7 @@ bool reports_bit_identical(const std::vector<core::RecordReport>& a,
 
 int main() {
   bench::print_header("bench_runner_throughput",
-                      "ISSUE 1 — parallel runner + solver hot path");
+                      "parallel runner + solver hot path");
 
   const auto& database = bench::shared_database();
   core::FrontEndConfig config;
@@ -214,12 +67,6 @@ int main() {
   for (std::size_t r = 0; r < records; ++r) (void)database.record(r);
 
   std::printf("path,threads,seconds,windows_per_sec\n");
-
-  double seed_seconds = 0.0;
-  const std::size_t seed_windows = run_seed_path(
-      codec, lowres_codec, database, records, windows, seed_seconds);
-  const double seed_wps = static_cast<double>(seed_windows) / seed_seconds;
-  std::printf("seed-serial,1,%.3f,%.2f\n", seed_seconds, seed_wps);
 
   parallel::ThreadPool serial_pool(1);
   auto start = Clock::now();
@@ -243,13 +90,8 @@ int main() {
 
   const bool identical =
       reports_bit_identical(serial_reports, threaded_reports);
-  const KernelRates rates = gemv_rates(config.measurements, config.window);
-
   std::printf("# determinism: %s\n",
               identical ? "bit-identical" : "MISMATCH");
-  std::printf("# gemv %zux%zu: blocked %.2f GFLOP/s, naive %.2f GFLOP/s\n",
-              config.measurements, config.window, rates.blocked_gflops,
-              rates.naive_gflops);
 
   std::FILE* json = std::fopen("BENCH_runner.json", "w");
   if (json == nullptr) {
@@ -263,10 +105,6 @@ int main() {
                "%zu, \"window\": %zu, \"measurements\": %zu},\n",
                records, windows, config.window, config.measurements);
   std::fprintf(json,
-               "  \"seed_serial\": {\"seconds\": %.4f, \"windows_per_sec\": "
-               "%.3f},\n",
-               seed_seconds, seed_wps);
-  std::fprintf(json,
                "  \"optimized_serial\": {\"seconds\": %.4f, "
                "\"windows_per_sec\": %.3f},\n",
                serial_seconds, serial_wps);
@@ -274,19 +112,10 @@ int main() {
                "  \"optimized_threads\": {\"threads\": %zu, \"seconds\": "
                "%.4f, \"windows_per_sec\": %.3f},\n",
                thread_count, threaded_seconds, threaded_wps);
-  std::fprintf(json, "  \"speedup_serial_vs_seed\": %.3f,\n",
-               serial_wps / seed_wps);
-  std::fprintf(json, "  \"speedup_threads_vs_seed\": %.3f,\n",
-               threaded_wps / seed_wps);
   std::fprintf(json, "  \"speedup_threads_vs_serial\": %.3f,\n",
                threaded_wps / serial_wps);
-  std::fprintf(json, "  \"bit_identical_across_threads\": %s,\n",
+  std::fprintf(json, "  \"bit_identical_across_threads\": %s\n",
                identical ? "true" : "false");
-  std::fprintf(json,
-               "  \"gemv\": {\"m\": %zu, \"n\": %zu, \"blocked_gflops\": "
-               "%.3f, \"naive_gflops\": %.3f}\n",
-               config.measurements, config.window, rates.blocked_gflops,
-               rates.naive_gflops);
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("# wrote BENCH_runner.json\n");

@@ -17,18 +17,15 @@
 
 #include "csecg/dsp/dct.hpp"
 #include "csecg/dsp/dwt.hpp"
-#include "csecg/dsp/fft.hpp"
 #include "csecg/dsp/fir.hpp"
 #include "csecg/dsp/wavelet.hpp"
 
 #include "csecg/ecg/beats.hpp"
 #include "csecg/ecg/ecgsyn.hpp"
-#include "csecg/ecg/io.hpp"
 #include "csecg/ecg/noise.hpp"
 #include "csecg/ecg/qrs.hpp"
 #include "csecg/ecg/record.hpp"
 
-#include "csecg/sensing/diagnostics.hpp"
 #include "csecg/sensing/lowres_channel.hpp"
 #include "csecg/sensing/matrices.hpp"
 #include "csecg/sensing/quantizer.hpp"
@@ -61,4 +58,3 @@
 #include "csecg/core/frame.hpp"
 #include "csecg/core/frontend.hpp"
 #include "csecg/core/runner.hpp"
-#include "csecg/core/streaming.hpp"

@@ -1,8 +1,9 @@
-// Matrix-free linear operators and iterative methods.
+// Matrix-free linear operators.
 //
 // The recovery solvers only ever need y = K·x and x = Kᵀ·y products, so
-// they are written against LinearOperator; a dense Matrix, a stacked
-// operator [Φ; I], or a fast wavelet transform all plug in uniformly.
+// they are written against LinearOperator; a dense Matrix, the RMPI sign
+// matrix, a composition, or a fast wavelet transform all plug in
+// uniformly.
 #pragma once
 
 #include <cstddef>
@@ -24,13 +25,10 @@ class LinearOperator {
 
   LinearOperator() = default;
 
-  /// Wraps forward/adjoint callables with explicit dimensions.
-  LinearOperator(std::size_t rows, std::size_t cols, Apply forward,
-                 Apply adjoint);
-
-  /// Wraps forward/adjoint callables plus allocation-free destination
-  /// variants.  The *_into callables must compute the same products as
-  /// their allocating counterparts; solvers pick whichever is cheaper.
+  /// Wraps forward/adjoint callables with explicit dimensions, plus
+  /// their allocation-free destination variants.  The *_into callables
+  /// must compute the same products as their allocating counterparts;
+  /// solvers pick whichever is cheaper.
   LinearOperator(std::size_t rows, std::size_t cols, Apply forward,
                  Apply adjoint, ApplyInto forward_into,
                  ApplyInto adjoint_into);
@@ -48,10 +46,6 @@ class LinearOperator {
   /// Identity operator of order n.
   static LinearOperator identity(std::size_t n);
 
-  /// Vertical stack [top; bottom]; operand column counts must match.
-  static LinearOperator vstack(const LinearOperator& top,
-                               const LinearOperator& bottom);
-
   /// Composition this∘other, i.e. x ↦ this(other(x)).
   LinearOperator compose(const LinearOperator& other) const;
 
@@ -64,10 +58,9 @@ class LinearOperator {
   /// Kᵀ·y.  Validates the input dimension.
   Vector apply_adjoint(const Vector& y) const;
 
-  /// y ← K·x into a caller-owned vector (resized to rows()).  Uses the
-  /// native destination callable when available (allocation-free for
-  /// from_matrix operators), otherwise falls back to apply().  `x` and
-  /// `y` must not alias.
+  /// y ← K·x into a caller-owned vector (resized to rows()) through the
+  /// destination callable (allocation-free for from_matrix operators).
+  /// `x` and `y` must not alias.
   void apply_into(const Vector& x, Vector& y) const;
 
   /// x ← Kᵀ·y into a caller-owned vector (resized to cols()); same
@@ -87,19 +80,6 @@ class LinearOperator {
 /// iteration on KᵀK.  Deterministic given the fixed internal start vector.
 /// `iterations` caps the work; 50 is plenty for the step-size safety use.
 double operator_norm_estimate(const LinearOperator& op, int iterations = 50);
-
-/// Result of a conjugate-gradient solve.
-struct CgResult {
-  Vector x;              ///< Approximate solution.
-  int iterations = 0;    ///< Iterations performed.
-  double residual_norm = 0.0;  ///< ‖b − A·x‖₂ at exit.
-  bool converged = false;      ///< True if tolerance met within budget.
-};
-
-/// Solves A·x = b for symmetric positive-definite A (as an operator) by
-/// conjugate gradients.  `tol` is relative to ‖b‖₂.
-CgResult conjugate_gradient(const LinearOperator& a, const Vector& b,
-                            int max_iterations = 200, double tol = 1e-10);
 
 /// Checks ⟨K·x, y⟩ == ⟨x, Kᵀ·y⟩ on random probes; returns the largest
 /// relative mismatch.  Used by tests to validate hand-written adjoints.

@@ -144,7 +144,7 @@ TEST(UmbrellaHeader, PullsEverythingIn) {
   EXPECT_EQ(linalg::Matrix::identity(2)(0, 0), 1.0);
   EXPECT_EQ(dsp::wavelet_name(dsp::WaveletFamily::kDb4), "db4");
   EXPECT_EQ(ecg::beat_type_code(ecg::BeatType::kPvc), std::string("V"));
-  EXPECT_GT(sensing::welch_bound(8, 32), 0.0);
+  EXPECT_EQ(sensing::Quantizer(7, 0.0, 1.0).levels(), 128);
   EXPECT_EQ(recovery::soft_threshold(2.0, 1.0), 1.0);
   EXPECT_EQ(coding::histogram({1, 1}).size(), 1u);
   EXPECT_GT(power::TechnologyParams{}.vdd, 0.0);

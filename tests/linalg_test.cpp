@@ -1,5 +1,5 @@
 // Unit tests for csecg::linalg — vectors, matrices, factorizations,
-// operators, iterative solvers.
+// operators.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -605,22 +605,6 @@ TEST(LinearOperator, DimensionValidation) {
   EXPECT_THROW(op.apply_adjoint(Vector(6)), std::invalid_argument);
 }
 
-TEST(LinearOperator, VstackStacksAndAdjoints) {
-  const Matrix a = random_matrix(3, 5, 17);
-  const Matrix b = random_matrix(2, 5, 18);
-  const LinearOperator stacked = LinearOperator::vstack(
-      LinearOperator::from_matrix(a), LinearOperator::from_matrix(b));
-  EXPECT_EQ(stacked.rows(), 5u);
-  EXPECT_EQ(stacked.cols(), 5u);
-  EXPECT_LT(adjoint_mismatch(stacked), 1e-12);
-  const Vector x = random_vector(5, 19);
-  const Vector y = stacked.apply(x);
-  const Vector ya = multiply(a, x);
-  const Vector yb = multiply(b, x);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(y[i], ya[i], 1e-14);
-  for (std::size_t i = 0; i < 2; ++i) EXPECT_NEAR(y[3 + i], yb[i], 1e-14);
-}
-
 TEST(LinearOperator, ComposeMatchesProduct) {
   const Matrix a = random_matrix(3, 4, 20);
   const Matrix b = random_matrix(4, 6, 21);
@@ -657,30 +641,13 @@ TEST(OperatorNorm, IdentityHasUnitNorm) {
               1e-9);
 }
 
-TEST(ConjugateGradient, SolvesSpdSystem) {
-  const Matrix b = random_matrix(8, 8, 24);
-  Matrix spd = gram(b);
-  for (std::size_t i = 0; i < 8; ++i) spd(i, i) += 4.0;
-  const Vector x_true = random_vector(8, 25);
-  const Vector rhs = multiply(spd, x_true);
-  const CgResult res =
-      conjugate_gradient(LinearOperator::from_matrix(spd), rhs, 200, 1e-12);
-  EXPECT_TRUE(res.converged);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(res.x[i], x_true[i], 1e-7);
-}
-
-TEST(ConjugateGradient, ZeroRhsGivesZero) {
-  const CgResult res = conjugate_gradient(LinearOperator::identity(5),
-                                          Vector(5), 10, 1e-12);
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.x, Vector(5));
-}
-
 TEST(AdjointMismatch, DetectsWrongAdjoint) {
   // Deliberately wrong adjoint (scaled by 2).
   const LinearOperator bad(
       3, 3, [](const Vector& x) { return x; },
-      [](const Vector& y) { return 2.0 * y; });
+      [](const Vector& y) { return 2.0 * y; },
+      [](const Vector& x, Vector& y) { y = x; },
+      [](const Vector& y, Vector& x) { x = 2.0 * y; });
   EXPECT_GT(adjoint_mismatch(bad), 0.1);
 }
 
