@@ -88,6 +88,7 @@ struct LedgerMover {
   double delta_snr = 0.0;           ///< new − base "snr" (NaN if null).
   long long delta_iterations = 0;   ///< new − base "iterations".
   bool convergence_flip = false;    ///< "converged" differs.
+  bool lost_convergence = false;    ///< "converged" went true → not.
 };
 
 /// Window-by-window comparison of two ledgers.
@@ -105,6 +106,10 @@ struct LedgerDiff {
     if (!problems.empty()) return 2;
     return movers.empty() ? 0 : 1;
   }
+
+  /// The same with an SNR tolerance: 0 also when every differing window's
+  /// "snr" moved by at most `snr_tol` dB and none lost "converged".
+  int status(double snr_tol) const noexcept;
 };
 
 /// Diffs two JSONL ledgers.  Rows are matched by ("kind", "record",

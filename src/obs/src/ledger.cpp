@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -277,6 +278,19 @@ std::vector<KeyedRow> keyed_rows(std::string_view text, const char* side,
 
 }  // namespace
 
+int LedgerDiff::status(double snr_tol) const noexcept {
+  if (!problems.empty()) return 2;
+  for (const LedgerMover& m : movers) {
+    const bool snr_same =
+        std::find(m.fields.begin(), m.fields.end(), "snr") == m.fields.end();
+    if (m.lost_convergence ||
+        !(snr_same || std::abs(m.delta_snr) <= snr_tol)) {
+      return 1;
+    }
+  }
+  return 0;
+}
+
 LedgerDiff diff_ledgers(std::string_view base, std::string_view changed) {
   LedgerDiff diff;
   const std::vector<KeyedRow> old_rows =
@@ -317,6 +331,9 @@ LedgerDiff diff_ledgers(std::string_view base, std::string_view changed) {
     mover.convergence_flip =
         (old_converged == nullptr) != (new_converged == nullptr) ||
         (old_converged != nullptr && *old_converged != *new_converged);
+    mover.lost_convergence = old_converged != nullptr &&
+                             *old_converged == "true" &&
+                             mover.convergence_flip;
     diff.convergence_flips += mover.convergence_flip;
     diff.movers.push_back(std::move(mover));
   }

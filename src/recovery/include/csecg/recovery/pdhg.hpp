@@ -64,8 +64,9 @@ struct PdhgOptions {
   linalg::Vector x0;
   /// Optional per-coefficient ℓ1 weights (empty = all ones): the objective
   /// becomes Σᵢ wᵢ·|（Ψᵀx)ᵢ|.  Used by the reweighted-ℓ1 wrapper.  A zero
-  /// weight leaves no dual slack on its coefficient, so such a solve only
-  /// certifies once the dual is exactly feasible there.
+  /// weight leaves no dual slack on its coefficient, so without a box such
+  /// a solve only certifies once the dual is exactly feasible there; with
+  /// a box the box-aware dual bound covers it exactly.
   linalg::Vector coefficient_weights;
 };
 
@@ -80,7 +81,9 @@ struct PdhgResult {
   /// iterate.
   bool converged = false;
   double objective = 0.0;  ///< ‖Ψᵀx‖₁ at exit.
-  double gap = 0.0;        ///< Relative duality gap at exit.
+  /// Relative duality gap at exit, against the better of the scaled and
+  /// (with a box) the box-aware dual bound.
+  double gap = 0.0;
   double ball_violation = 0.0;  ///< max(0, ‖Φx−y‖₂ − σ) at exit.
   double box_violation = 0.0;   ///< max over samples of box violation.
 };

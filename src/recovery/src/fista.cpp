@@ -87,11 +87,9 @@ FistaResult solve_lasso_fista(const linalg::LinearOperator& a,
   static obs::Counter& converged = obs::counter("solver.fista.converged");
   static obs::Counter& non_converged =
       obs::counter("solver.fista.non_converged");
-  static obs::Gauge& last_residual = obs::gauge("solver.fista.last_residual");
   solves.add();
   iterations.add(static_cast<std::uint64_t>(result.iterations));
   (result.converged ? converged : non_converged).add();
-  last_residual.set(linalg::norm2(residual));
   solve_trace.set_arg(static_cast<std::uint64_t>(result.iterations));
   return result;
 }

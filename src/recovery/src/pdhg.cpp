@@ -214,6 +214,8 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   linalg::Vector x_anchor = x;     // Iterate at the last ω update.
   linalg::Vector q1_anchor(m);
   linalg::Vector q2_anchor(box ? n : 0);
+  linalg::Vector box_dual(box ? n : 0);    // g, the box bound's ℓ1 dual.
+  linalg::Vector box_normal(box ? n : 0);  // c = Ψg + Φᵀq₁.
 
   // Feasibility scales: σ (floored by ‖y‖) for the ball, each cell's own
   // width (floored by the widest) for the box.
@@ -229,10 +231,12 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   }
 
   PdhgResult result;
-  // The certificate at the current iterate (x, q).  Ψᵀx is carried, and
-  // ΨᵀKᵀq = (Ψᵀx − Ψᵀ(x − τKᵀq))/τ comes from the primal step's own Ψᵀ
-  // product, so the check applies no operator.
-  const auto certify = [&]() {
+  // The certificate at the current iterate (x, q); `last` marks the exit
+  // check.  Ψᵀx is carried, and ΨᵀKᵀq = (Ψᵀx − Ψᵀ(x − τKᵀq))/τ comes from
+  // the primal step's own Ψᵀ product, so the scaled bound applies no
+  // operator; the box bound applies Ψ once, and only where it can decide
+  // the outcome.  The check writes nothing the iteration reads.
+  const auto certify = [&](bool last) {
     result.ball_violation =
         std::max(0.0, std::sqrt(squared_distance(u, y)) - sigma);
     bool feasible = result.ball_violation <= ball_tol;
@@ -264,9 +268,31 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
         scale = w > 0.0 ? g / w : std::numeric_limits<double>::infinity();
       }
     }
-    const double support =
-        linalg::dot(q1, y) + sigma * linalg::norm2(q1) + box_support;
-    const double dual = -support / scale;
+    const double ball_support = linalg::dot(q1, y) + sigma * linalg::norm2(q1);
+    double dual = -(ball_support + box_support) / scale;
+
+    // With a box, the Lagrangian bound that keeps the box on the primal
+    // side: for g = clamp(−ΨᵀKᵀq, −w, w) and c = Ψg + Φᵀq₁, every feasible
+    // x has Σwᵢ|(Ψᵀx)ᵢ| ≥ ⟨g, Ψᵀx⟩ = ⟨c, x⟩ − ⟨q₁, Φx⟩
+    // ≥ Σᵢ min(lᵢcᵢ, uᵢcᵢ) − ⟨q₁, y⟩ − σ‖q₁‖.  It needs no rescaling of q
+    // (a zero weight just forces gᵢ = 0).  It costs a Ψ product, so it is
+    // evaluated only at a feasible iterate (where it can certify, or tighten
+    // the reported gap of an exit) and at the last check.  A NaN bound
+    // (0·∞ on an unbounded cell) loses the std::max below.
+    if (box && (feasible || last)) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double w = weight(i);
+        const double r = (coeffs[i] - step_coeffs[i]) / tau;
+        box_dual[i] = std::clamp(-r, -w, w);
+      }
+      psi.apply_into(box_dual, box_normal);
+      double box_bound = -ball_support;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double c = box_normal[i] + (kq[i] - q2[i]);
+        box_bound += std::min(box->lower[i] * c, box->upper[i] * c);
+      }
+      dual = std::max(dual, box_bound);
+    }
     const double magnitude = std::max(std::abs(primal), std::abs(dual));
     result.gap = magnitude > 0.0 ? std::abs(primal - dual) / magnitude : 0.0;
     result.converged = feasible && result.gap <= options.tol;
@@ -280,7 +306,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
         (it > 0 && it % options.check_every == 0)) {
       obs::trace_instant("solver.pdhg.check", "solver", "iteration",
                          static_cast<std::uint64_t>(it));
-      certify();
+      certify(it == options.max_iterations);
       if (result.converged || it == options.max_iterations) {
         result.iterations = it;
         break;
@@ -344,15 +370,9 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   static obs::Counter& converged = obs::counter("solver.pdhg.converged");
   static obs::Counter& non_converged =
       obs::counter("solver.pdhg.non_converged");
-  static obs::Gauge& last_residual = obs::gauge("solver.pdhg.last_residual");
-  static obs::Gauge& last_gap = obs::gauge("solver.pdhg.last_gap");
-  static obs::Gauge& last_epsilon = obs::gauge("solver.pdhg.last_epsilon");
   solves.add();
   iterations.add(static_cast<std::uint64_t>(result.iterations));
   (result.converged ? converged : non_converged).add();
-  last_residual.set(result.ball_violation);
-  last_gap.set(result.gap);
-  last_epsilon.set(sigma);
   solve_trace.set_arg(static_cast<std::uint64_t>(result.iterations));
   return result;
 }

@@ -69,8 +69,6 @@ Spgl1Result solve_bpdn_spgl1(const linalg::LinearOperator& a,
     result.converged = true;
     obs::counter("solver.spgl1.solves").add();
     obs::counter("solver.spgl1.converged").add();
-    obs::gauge("solver.spgl1.last_residual").set(y_norm);
-    obs::gauge("solver.spgl1.last_epsilon").set(sigma);
     return result;
   }
 
@@ -141,14 +139,10 @@ Spgl1Result solve_bpdn_spgl1(const linalg::LinearOperator& a,
   static obs::Counter& converged = obs::counter("solver.spgl1.converged");
   static obs::Counter& non_converged =
       obs::counter("solver.spgl1.non_converged");
-  static obs::Gauge& last_residual = obs::gauge("solver.spgl1.last_residual");
-  static obs::Gauge& last_epsilon = obs::gauge("solver.spgl1.last_epsilon");
   solves.add();
   inner_iterations.add(
       static_cast<std::uint64_t>(result.total_inner_iterations));
   (result.converged ? converged : non_converged).add();
-  last_residual.set(result.residual_norm);
-  last_epsilon.set(sigma);
   solve_trace.set_arg(
       static_cast<std::uint64_t>(result.total_inner_iterations));
   return result;

@@ -442,26 +442,146 @@ TEST(Pdhg, IterationCountIsScaleInvariant) {
 }
 
 TEST(Pdhg, ZeroWeightsDoNotCertifyEarly) {
-  // A zero weight leaves its coefficient free, so the dual bound is only
-  // valid where the dual is exactly zero there.  Dividing by the zero
-  // weight must not produce a bound (NaN, or a finite scale) that
+  // Without a box, a zero weight leaves its coefficient free, so the dual
+  // bound is only valid where the dual is exactly zero there.  Dividing by
+  // the zero weight must not produce a bound (NaN, or a finite scale) that
   // certifies an unconverged iterate: under the default cap, where the
   // unit-weight problem certifies, the zero-weight solve must not, because
-  // its dual is never exactly zero on the free coefficients.
+  // its dual is never exactly zero on the free coefficients.  (With a box
+  // there is a valid bound; see ZeroWeightsCertifyOnlyOnAValidBoxBound.)
   const BoxedProblem p = boxed_problem(1.0);
   const auto phi = LinearOperator::from_matrix(p.a);
   const auto psi = LinearOperator::identity(128);
   PdhgOptions options;
   options.coefficient_weights = Vector(128, 1.0);
-  const PdhgResult unit = solve_bpdn(phi, psi, p.y, p.sigma, p.box, options);
+  const PdhgResult unit =
+      solve_bpdn(phi, psi, p.y, p.sigma, std::nullopt, options);
   ASSERT_TRUE(unit.converged);
   for (std::size_t i = 0; i < 128; i += 4) {
     options.coefficient_weights[i] = 0.0;
   }
-  const PdhgResult zero = solve_bpdn(phi, psi, p.y, p.sigma, p.box, options);
+  const PdhgResult zero =
+      solve_bpdn(phi, psi, p.y, p.sigma, std::nullopt, options);
   EXPECT_FALSE(zero.converged);
   EXPECT_EQ(zero.iterations, options.max_iterations);
   EXPECT_GT(zero.gap, options.tol);
+}
+
+/// Σ wᵢ|xᵢ| (Ψ = I), with w ≡ 1 when `weights` is empty.
+double weighted_l1(const Vector& x, const Vector& weights) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sum += (weights.empty() ? 1.0 : weights[i]) * std::abs(x[i]);
+  }
+  return sum;
+}
+
+/// The dual bound a result vouches for: its gap is |P − D|/max(|P|, |D|)
+/// at the exit iterate, so D = P(1 − gap) when D ≤ P (and D is larger
+/// than that when D > P, which is still no larger than a valid bound).
+double implied_bound(const PdhgResult& res, const Vector& weights) {
+  return weighted_l1(res.x, weights) * (1.0 - res.gap);
+}
+
+/// An upper bound on a boxed problem's weighted optimum, within a few 10⁻⁴
+/// of it: the weighted objective of a long, tight (tol = feasibility_tol =
+/// 10⁻⁹) solve on a strictly smaller set — σ shrunk by 5%, each cell by
+/// 10⁻⁴ of its width at both ends — whose iterate must then meet the
+/// original constraints exactly.  Every x that does bounds the optimum from
+/// above, whether or not the solve certified (with zero weights it stalls
+/// near a 10⁻⁴ gap).
+double optimum_upper_bound(const BoxedProblem& p, const Vector& weights) {
+  BoxConstraint inner = p.box;
+  for (std::size_t i = 0; i < inner.lower.size(); ++i) {
+    const double margin = 1e-4 * (inner.upper[i] - inner.lower[i]);
+    inner.lower[i] += margin;
+    inner.upper[i] -= margin;
+  }
+  PdhgOptions tight;
+  tight.tol = 1e-9;
+  tight.feasibility_tol = 1e-9;
+  tight.max_iterations = 20000;
+  tight.coefficient_weights = weights;
+  const PdhgResult ref = solve_bpdn(LinearOperator::from_matrix(p.a),
+                                    LinearOperator::identity(128), p.y,
+                                    0.95 * p.sigma, inner, tight);
+  EXPECT_LE(linalg::norm2(linalg::multiply(p.a, ref.x) - p.y), p.sigma);
+  for (std::size_t i = 0; i < ref.x.size(); ++i) {
+    EXPECT_GE(ref.x[i], p.box.lower[i]) << "sample " << i;
+    EXPECT_LE(ref.x[i], p.box.upper[i]) << "sample " << i;
+  }
+  return weighted_l1(ref.x, weights);
+}
+
+TEST(Pdhg, ZeroWeightsCertifyOnlyOnAValidBoxBound) {
+  // With a box, a zero weight still forces its coefficient's ℓ1 dual to
+  // zero, and the Lagrangian bound over the box stays valid, so the
+  // zero-weight solve may certify.  What it certifies must be a lower
+  // bound: the bound behind the returned (P, gap) cannot exceed the
+  // weighted optimum.
+  const BoxedProblem p = boxed_problem(1.0);
+  PdhgOptions options;
+  options.coefficient_weights = Vector(128, 1.0);
+  for (std::size_t i = 0; i < 128; i += 4) {
+    options.coefficient_weights[i] = 0.0;
+  }
+  const PdhgResult res =
+      solve_bpdn(LinearOperator::from_matrix(p.a),
+                 LinearOperator::identity(128), p.y, p.sigma, p.box, options);
+  EXPECT_TRUE(res.converged);
+  EXPECT_LE(implied_bound(res, options.coefficient_weights),
+            optimum_upper_bound(p, options.coefficient_weights) *
+                (1.0 + 1e-9));
+}
+
+TEST(Pdhg, BoxAwareBoundNeverExceedsTheOptimum) {
+  // At any cap, the exit check's bound — the better of the scaled and the
+  // box-aware one — lies below the optimum, on unit weights, on 1/4 zero
+  // weights and on the problem scaled by 10³.  The reference is a feasible
+  // point, so the 10⁻⁹ relative slack only covers rounding.
+  Vector quarter_zero(128, 1.0);
+  for (std::size_t i = 0; i < 128; i += 4) quarter_zero[i] = 0.0;
+  struct Case {
+    double scale;
+    Vector weights;
+  };
+  const Case cases[] = {{1.0, {}}, {1.0, quarter_zero}, {1e3, {}}};
+  for (const Case& c : cases) {
+    const BoxedProblem p = boxed_problem(c.scale);
+    const double optimum = optimum_upper_bound(p, c.weights);
+    for (const int cap : {10, 20, 50, 100, 200, 400}) {
+      PdhgOptions options;
+      options.max_iterations = cap;
+      options.coefficient_weights = c.weights;
+      const PdhgResult res = solve_bpdn(
+          LinearOperator::from_matrix(p.a), LinearOperator::identity(128),
+          p.y, p.sigma, p.box, options);
+      EXPECT_LE(implied_bound(res, c.weights), optimum * (1.0 + 1e-9))
+          << "scale " << c.scale << ", cap " << cap << ", gap " << res.gap;
+    }
+  }
+}
+
+TEST(Pdhg, CertificateDoesNotMoveTheIterates) {
+  // The certificate only reads the iterate: a solve that runs past every
+  // check (tol = 10⁻¹²) to the iteration where the default solve stopped
+  // ends at exactly the same x.
+  const BoxedProblem p = boxed_problem(1.0);
+  const auto phi = LinearOperator::from_matrix(p.a);
+  const auto psi = LinearOperator::identity(128);
+  const PdhgResult stopped = solve_bpdn(phi, psi, p.y, p.sigma, p.box);
+  ASSERT_TRUE(stopped.converged);
+  PdhgOptions uncertifiable;
+  uncertifiable.tol = 1e-12;
+  uncertifiable.max_iterations = stopped.iterations;
+  const PdhgResult capped =
+      solve_bpdn(phi, psi, p.y, p.sigma, p.box, uncertifiable);
+  ASSERT_FALSE(capped.converged);
+  ASSERT_EQ(capped.iterations, stopped.iterations);
+  ASSERT_EQ(capped.x.size(), stopped.x.size());
+  EXPECT_EQ(std::memcmp(capped.x.data(), stopped.x.data(),
+                        stopped.x.size() * sizeof(double)),
+            0);
 }
 
 // ---------------------------------------------------------------------------

@@ -289,6 +289,80 @@ TEST_F(TraceTest, LedgerDiffFindsNoMoversInACopyAndReportsAOneFieldEdit) {
   EXPECT_EQ(broken.status(), 2);
 }
 
+TEST_F(TraceTest, LedgerDiffSnrToleranceGatesQualityNotBits) {
+  // --snr-tol: windows may move, but by at most the tolerance in SNR and
+  // without losing their certificate; a problem row still fails hard.
+  const std::string base =
+      "{\"kind\":\"window\",\"record\":\"r0\",\"window\":0,"
+      "\"iterations\":300,\"converged\":true,\"snr\":20.5}\n"
+      "{\"kind\":\"window\",\"record\":\"r0\",\"window\":1,"
+      "\"iterations\":400,\"converged\":false,\"snr\":18.25}\n";
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string text = base;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  EXPECT_EQ(obs::diff_ledgers(base, base).status(0.0), 0);
+
+  // Fewer iterations and 0.02 dB more: a mover, within 0.03 dB.
+  const obs::LedgerDiff faster = obs::diff_ledgers(
+      base, edit("\"iterations\":300,\"converged\":true,\"snr\":20.5}",
+                 "\"iterations\":200,\"converged\":true,\"snr\":20.52}"));
+  ASSERT_EQ(faster.movers.size(), 1u);
+  EXPECT_EQ(faster.status(), 1);
+  EXPECT_EQ(faster.status(0.03), 0);
+  EXPECT_EQ(faster.status(0.01), 1);
+
+  // Losing the certificate fails whatever the SNR does; gaining it is fine.
+  const obs::LedgerDiff lost = obs::diff_ledgers(
+      base, edit("\"converged\":true", "\"converged\":false"));
+  ASSERT_EQ(lost.movers.size(), 1u);
+  EXPECT_TRUE(lost.movers[0].lost_convergence);
+  EXPECT_EQ(lost.status(0.03), 1);
+  const obs::LedgerDiff gained = obs::diff_ledgers(
+      base, edit("\"converged\":false", "\"converged\":true"));
+  ASSERT_EQ(gained.movers.size(), 1u);
+  EXPECT_TRUE(gained.movers[0].convergence_flip);
+  EXPECT_FALSE(gained.movers[0].lost_convergence);
+  EXPECT_EQ(gained.status(0.03), 0);
+
+  // A null SNR is no number within any tolerance; a missing row is a
+  // problem.
+  EXPECT_EQ(
+      obs::diff_ledgers(base, edit("\"snr\":18.25", "\"snr\":null"))
+          .status(100.0),
+      1);
+  EXPECT_EQ(obs::diff_ledgers(base, base.substr(0, base.find('\n') + 1))
+                .status(100.0),
+            2);
+}
+
+TEST_F(TraceTest, SnapshotGaugesRepeatAcrossPooledRuns) {
+  // No gauge may depend on which pool worker finishes last: two identical
+  // pooled runs, and a serial one, leave the same "gauges" block.
+  ecg::RecordConfig record_config;
+  record_config.duration_seconds = 20.0;
+  const ecg::SyntheticDatabase database(record_config, 2015);
+  const core::FrontEndConfig config = small_config();
+  const core::Codec codec(config,
+                          core::train_lowres_codec(config, database, 2, 2));
+  const auto gauges_after = [&](std::size_t threads) {
+    parallel::ThreadPool pool(threads);
+    obs::Registry::global().reset();
+    (void)core::run_database(codec, database, 2, 4, core::DecodeMode::kAuto,
+                             pool);
+    const std::string json = obs::snapshot_json();
+    const std::size_t begin = json.find("\"gauges\":");
+    const std::size_t end = json.find(",\"histograms\":");
+    EXPECT_NE(begin, std::string::npos);
+    EXPECT_NE(end, std::string::npos);
+    return json.substr(begin, end - begin);
+  };
+  const std::string first = gauges_after(4);
+  EXPECT_EQ(gauges_after(4), first);
+  EXPECT_EQ(gauges_after(1), first);
+}
+
 TEST_F(TraceTest, LedgerDisabledRecordsNoRows) {
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 20.0;

@@ -20,14 +20,17 @@
 // Bad arguments exit 1, including a --records or --windows value the
 // 48-record database cannot serve.
 //
-//   run_report --diff BASE.jsonl NEW.jsonl
+//   run_report --diff [--snr-tol DB] BASE.jsonl NEW.jsonl
 //
 // compares two ledgers window by window instead of running anything: rows
 // are matched by (kind, record, window) and every field is compared on its
 // exact text.  It prints the matched count, ΔSNR and Δiterations, the
 // convergence flips and the 5 worst movers, and exits like cmp: 0 when
 // every window is identical, 1 when some window differs, 2 when a row is
-// malformed or unmatched (or a file cannot be read).
+// malformed or unmatched (or a file cannot be read, or the arguments are
+// bad).  With --snr-tol it is a quality gate instead: 0 also when every
+// differing window's SNR moved by at most DB dB and no window lost its
+// certificate (converged true → false); 1 and 2 as before.
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -66,7 +69,7 @@ struct Options {
                "run_report: %s\n"
                "usage: run_report [--records N] [--windows N] [--worst N] "
                "[--link] [--ledger FILE] [--trace FILE] [--snapshot FILE]\n"
-               "       run_report --diff BASE.jsonl NEW.jsonl\n",
+               "       run_report --diff [--snr-tol DB] BASE.jsonl NEW.jsonl\n",
                message);
   std::exit(1);
 }
@@ -160,8 +163,10 @@ std::optional<std::string> read_file(const char* path) {
   return text.str();
 }
 
-/// --diff: compares two ledgers and returns the cmp-style status.
-int run_diff(const char* base_path, const char* new_path) {
+/// --diff: compares two ledgers and returns the cmp-style status, or the
+/// tolerance verdict when `snr_tol` is set.
+int run_diff(const char* base_path, const char* new_path,
+             std::optional<double> snr_tol) {
   const auto base = read_file(base_path);
   const auto changed = read_file(new_path);
   if (!base || !changed) {
@@ -226,7 +231,46 @@ int run_diff(const char* base_path, const char* new_path) {
     std::printf("\nproblems:\n");
     for (const std::string& p : diff.problems) std::printf("  %s\n", p.c_str());
   }
-  return diff.status();
+  if (!snr_tol) return diff.status();
+  const int status = diff.status(*snr_tol);
+  const auto lost = std::count_if(
+      diff.movers.begin(), diff.movers.end(),
+      [](const obs::LedgerMover& m) { return m.lost_convergence; });
+  std::printf("\nsnr-tol %g dB: %s (%td windows lost certification)\n",
+              *snr_tol, status == 0 ? "PASS" : "FAIL", lost);
+  return status;
+}
+
+/// Parses --diff's arguments: two ledger files and an optional
+/// --snr-tol DB (a finite, non-negative dB value).  Exits 2 on anything
+/// else, since 1 means "the ledgers differ".
+int diff_main(int argc, char** argv) {
+  std::vector<const char*> files;
+  std::optional<double> snr_tol;
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--snr-tol") == 0 && i + 1 < argc && !snr_tol) {
+      const char* text = argv[++i];
+      char* end = nullptr;
+      const double value = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !std::isfinite(value) ||
+          value < 0.0) {
+        std::fprintf(stderr,
+                     "run_report: --snr-tol expects a non-negative number "
+                     "of dB, got '%s'\n",
+                     text);
+        return 2;
+      }
+      snr_tol = value;
+    } else {
+      files.push_back(argv[i]);
+    }
+  }
+  if (files.size() != 2) {
+    std::fprintf(stderr,
+                 "run_report: --diff takes exactly two ledger files\n");
+    return 2;
+  }
+  return run_diff(files[0], files[1], snr_tol);
 }
 
 void run_clean(const Options& opts, const ecg::SyntheticDatabase& database,
@@ -304,12 +348,7 @@ void run(const Options& opts) {
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--diff") == 0) {
-    if (argc != 4) {
-      std::fprintf(stderr,
-                   "run_report: --diff takes exactly two ledger files\n");
-      return 2;  // 1 means "the ledgers differ".
-    }
-    return run_diff(argv[2], argv[3]);
+    return diff_main(argc, argv);
   }
   const Options opts = parse_options(argc, argv);
 
