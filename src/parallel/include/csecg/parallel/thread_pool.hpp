@@ -1,18 +1,20 @@
 // Reusable worker pool and data-parallel loops for the experiment layer.
 //
 // Design constraints (see DESIGN.md "Threading model"):
-//  * Deterministic work assignment: parallel_for splits [begin, end) into
-//    one contiguous chunk per participating thread (static chunking).
-//    Callers write results into pre-sized slots indexed by loop index, so
-//    the output of a parallel run is bit-identical to the serial run no
-//    matter how chunks interleave in time.
+//  * Dynamic dispatch, deterministic results: every participating thread
+//    claims the next unclaimed index of [begin, end) from one atomic
+//    counter, so uneven per-index costs do not leave threads idle behind a
+//    slow slice.  Which thread runs an index is not fixed, so callers write
+//    results into pre-sized slots indexed by loop index; the output of a
+//    parallel run is then bit-identical to the serial run.
 //  * The calling thread participates: a pool of size T runs T-1 workers
-//    and executes the first chunk on the caller, so ThreadPool(1) is a
-//    plain serial loop with zero synchronization.
+//    and the caller claims indices too, so ThreadPool(1) is a plain serial
+//    loop with zero synchronization.
 //  * Nested parallel_for calls from inside a worker degrade to serial
 //    inline execution instead of deadlocking on the shared queue.
 //  * Exceptions thrown by loop bodies are captured, the loop drains, and
-//    the first exception (by chunk order) is rethrown on the caller.
+//    the exception of the lowest failing index is rethrown on the caller
+//    (indices above a recorded failure are not started).
 #pragma once
 
 #include <condition_variable>
@@ -52,11 +54,12 @@ class ThreadPool {
   /// Participating thread count (workers + caller), always ≥ 1.
   std::size_t threads() const noexcept { return thread_count_; }
 
-  /// Invokes fn(i) for every i in [begin, end).  The range is split into
-  /// at most threads() contiguous chunks; chunk 0 runs on the caller.
-  /// Rethrows the first exception (lowest chunk index) after all chunks
-  /// finish.  Safe to call concurrently from several threads and (as a
-  /// serial fallback) from inside another parallel_for body.
+  /// Invokes fn(i) for every i in [begin, end) on up to threads()
+  /// participants (the caller is one), each claiming the next unclaimed
+  /// index.  After the loop drains, rethrows the exception of the lowest
+  /// failing index; indices above a recorded failure may not run.  Safe to
+  /// call concurrently from several threads and (as a serial fallback)
+  /// from inside another parallel_for body.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

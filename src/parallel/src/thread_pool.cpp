@@ -14,8 +14,9 @@ namespace csecg::parallel {
 
 namespace {
 
-/// True on threads currently executing a pool chunk; nested parallel_for
-/// calls from such threads run inline instead of re-entering the queue.
+/// True on threads currently taking part in a parallel_for; nested
+/// parallel_for calls from such threads run inline instead of re-entering
+/// the queue.
 thread_local bool t_in_pool_chunk = false;
 
 }  // namespace
@@ -82,65 +83,66 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
-  const std::size_t count = end - begin;
-  const std::size_t chunks =
-      t_in_pool_chunk ? 1 : std::min(thread_count_, count);
-  if (chunks <= 1) {
+  const std::size_t participants =
+      t_in_pool_chunk ? 1 : std::min(thread_count_, end - begin);
+  if (participants <= 1) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  // Static chunking: chunk c covers a contiguous slice; the first
-  // `remainder` chunks get one extra element.
-  const std::size_t base = count / chunks;
-  const std::size_t remainder = count % chunks;
+  // Dynamic dispatch: every participant claims the next unclaimed index
+  // until the range is exhausted, so a slow index holds up only the
+  // participant that runs it.  An index above a recorded failure is not
+  // started: it cannot be the lowest failing one.
   struct Shared {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> lowest_failure{0};
     std::mutex mutex;
     std::condition_variable done;
     std::size_t pending = 0;
-    std::exception_ptr first_error;
-    std::size_t first_error_chunk = 0;
+    std::exception_ptr error;
   } shared;
-  shared.pending = chunks - 1;
+  shared.next.store(begin, std::memory_order_relaxed);
+  shared.lowest_failure.store(end, std::memory_order_relaxed);
+  shared.pending = participants - 1;
 
   static obs::Histogram& run_hist = obs::histogram("pool.chunk_run_ns");
   static obs::Histogram& wait_hist = obs::histogram("pool.queue_wait_ns");
 
-  auto run_chunk = [&fn, &shared](std::size_t chunk, std::size_t lo,
-                                  std::size_t hi) {
-    try {
-      const obs::Span run_span(run_hist);
-      obs::TraceScope chunk_trace("pool.chunk", "pool", "chunk", chunk);
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(shared.mutex);
-      if (!shared.first_error || chunk < shared.first_error_chunk) {
-        shared.first_error = std::current_exception();
-        shared.first_error_chunk = chunk;
+  auto participate = [&fn, &shared, end](std::size_t participant) {
+    const obs::Span run_span(run_hist);
+    obs::TraceScope chunk_trace("pool.chunk", "pool", "chunk", participant);
+    for (;;) {
+      const std::size_t i =
+          shared.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= end ||
+          i > shared.lowest_failure.load(std::memory_order_relaxed)) {
+        return;
+      }
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(shared.mutex);
+        if (i < shared.lowest_failure.load(std::memory_order_relaxed)) {
+          shared.lowest_failure.store(i, std::memory_order_relaxed);
+          shared.error = std::current_exception();
+        }
       }
     }
   };
-
-  std::size_t next = begin;
-  std::vector<std::pair<std::size_t, std::size_t>> spans(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < remainder ? 1 : 0);
-    spans[c] = {next, next + len};
-    next += len;
-  }
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t enqueue_ns =
         obs::enabled() ? obs::monotonic_ns() : 0;
-    for (std::size_t c = 1; c < chunks; ++c) {
-      queue_.emplace_back([&run_chunk, &shared, c, spans, enqueue_ns] {
+    for (std::size_t p = 1; p < participants; ++p) {
+      queue_.emplace_back([&participate, &shared, p, enqueue_ns] {
         // Time spent parked in the queue before a worker picked this
-        // chunk up — the fan-out latency the runner pays per window.
+        // participant up — the fan-out latency the runner pays per loop.
         if (enqueue_ns != 0) {
           wait_hist.record(obs::monotonic_ns() - enqueue_ns);
         }
-        run_chunk(c, spans[c].first, spans[c].second);
+        participate(p);
         // Notify under the lock: once pending hits 0 the caller may
         // destroy `shared`, so the worker must be done touching it
         // before the caller can observe the count.
@@ -155,13 +157,13 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // The caller is participant 0.
   const bool was_in_chunk = t_in_pool_chunk;
   t_in_pool_chunk = true;
-  run_chunk(0, spans[0].first, spans[0].second);
+  participate(0);
   t_in_pool_chunk = was_in_chunk;
 
   {
     std::unique_lock<std::mutex> lock(shared.mutex);
     shared.done.wait(lock, [&shared] { return shared.pending == 0; });
-    if (shared.first_error) std::rethrow_exception(shared.first_error);
+    if (shared.error) std::rethrow_exception(shared.error);
   }
 }
 

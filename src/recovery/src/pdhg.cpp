@@ -19,8 +19,16 @@ namespace {
 // longest step that does.
 constexpr double kRelaxation = 1.9;
 
-// Iterations between primal-weight updates.
-constexpr int kWeightEvery = 50;
+// Adaptive restarts (PDLP, Applegate et al. 2021).  Every kRestartEvery
+// iterations the current and the average iterate since the last restart
+// are scored by a relative KKT error, and the solve restarts to the better
+// of the two when it has cut the restart point's error by kSufficient, or
+// by kNecessary and stopped improving, or when the epoch has lasted
+// kArtificial of all iterations so far.
+constexpr int kRestartEvery = 64;
+constexpr double kSufficient = 0.2;
+constexpr double kNecessary = 0.8;
+constexpr double kArtificial = 0.36;
 
 // Feasibility-scale floors: the ball tolerance never drops below
 // feasibility_tol·kBallFloor·‖y‖ (so σ ≈ 0 solves still stop), and a
@@ -64,28 +72,65 @@ void ball_step(std::size_t m, double sigma_ball, const double* __restrict q1,
 
 /// The box block: q̃₂ = v − σ_box·clamp(v/σ_box, l, u) with
 /// v = q₂ + σ_box(2x̃ − x), written as max(·, 0) + min(·, 0) with the
-/// exact std::max/std::min ±0 and NaN semantics; adds q̃₂ to kq_new and
-/// relaxes q₂ towards it.
+/// exact std::max/std::min ±0 and NaN semantics; adds q̃₂ to kq_new,
+/// relaxes q₂ towards it and adds the relaxed q₂ to q2_sum.
 void box_step(std::size_t n, double sigma_box, const double* __restrict lower,
               const double* __restrict upper, const double* __restrict x_new,
               const double* __restrict x, double* __restrict q2,
-              double* __restrict kq_new) {
+              double* __restrict q2_sum, double* __restrict kq_new) {
   for (std::size_t i = 0; i < n; ++i) {
     const double v = q2[i] + sigma_box * (2.0 * x_new[i] - x[i]);
     const double q2_new = std::max(v - sigma_box * upper[i], 0.0) +
                           std::min(v - sigma_box * lower[i], 0.0);
     kq_new[i] += q2_new;
     q2[i] += kRelaxation * (q2_new - q2[i]);
+    q2_sum[i] += q2[i];
   }
 }
 
-/// Over-relaxation z ← z + ρ(z̃ − z).
+/// Over-relaxation z ← z + ρ(z̃ − z), adding the relaxed z to z_sum.
 void relax(std::size_t len, const double* __restrict z_new,
-           double* __restrict z) {
+           double* __restrict z, double* __restrict z_sum) {
   for (std::size_t i = 0; i < len; ++i) {
     z[i] += kRelaxation * (z_new[i] - z[i]);
+    z_sum[i] += z[i];
   }
 }
+
+/// The iterate z = (x, q₁, q₂) with the products the solver carries next
+/// to it: Ψᵀx, Φx and Kᵀq = Φᵀq₁ + q₂.  All of them are linear in z, so a
+/// sum or an average of iterates carries its products too.
+struct Iterate {
+  Iterate(std::size_t n, std::size_t m, std::size_t box_n)
+      : x(n), coeffs(n), u(m), q1(m), q2(box_n), kq(n) {}
+
+  linalg::Vector x;
+  linalg::Vector coeffs;  // Ψᵀx.
+  linalg::Vector u;       // Φx.
+  linalg::Vector q1;
+  linalg::Vector q2;
+  linalg::Vector kq;      // Kᵀq.
+
+  /// this = s·other, member by member.
+  void assign_scaled(const Iterate& other, double s) {
+    scale_into(other.x, s, x);
+    scale_into(other.coeffs, s, coeffs);
+    scale_into(other.u, s, u);
+    scale_into(other.q1, s, q1);
+    scale_into(other.q2, s, q2);
+    scale_into(other.kq, s, kq);
+  }
+
+  void set_zero() {
+    for (linalg::Vector* v : {&x, &coeffs, &u, &q1, &q2, &kq}) v->fill(0.0);
+  }
+
+ private:
+  static void scale_into(const linalg::Vector& from, double s,
+                         linalg::Vector& to) {
+    for (std::size_t i = 0; i < from.size(); ++i) to[i] = s * from[i];
+  }
+};
 
 /// ‖a − b‖², summed in index order.
 double squared_distance(const linalg::Vector& a, const linalg::Vector& b) {
@@ -161,7 +206,8 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
 
   // Warm start: caller-provided, else box midpoint (already nearly
   // feasible), else zero.
-  linalg::Vector x(n);
+  Iterate z(n, m, box ? n : 0);
+  linalg::Vector& x = z.x;
   if (!options.x0.empty()) {
     CSECG_CHECK(options.x0.size() == n,
                 "solve_bpdn: x0 has " << options.x0.size()
@@ -191,16 +237,17 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   double sigma_box = eta * omega * c_box;
 
   // The iterate carries Ψᵀx, Φx and Kᵀq next to x and q.  All three are
-  // linear in the iterate, so the relaxation step updates them without an
-  // operator call: a solve applies Φ once per iteration (to the primal
-  // prox point) plus once at the start, and Φᵀ once per iteration.
-  linalg::Vector coeffs(n);  // Ψᵀx.
-  psi.apply_adjoint_into(x, coeffs);
-  linalg::Vector u(m);  // Φx.
-  phi.apply_into(x, u);
-  linalg::Vector q1(m);
-  linalg::Vector q2(box ? n : 0);
-  linalg::Vector kq(n);  // Kᵀq = Φᵀq₁ + q₂.
+  // linear in the iterate, so the relaxation step, the running sum and a
+  // restart to the average update them without an operator call: a solve
+  // applies Φ once per iteration (to the primal prox point) plus once at
+  // the start, and Φᵀ once per iteration.
+  psi.apply_adjoint_into(x, z.coeffs);
+  phi.apply_into(x, z.u);
+  linalg::Vector& coeffs = z.coeffs;
+  linalg::Vector& u = z.u;
+  linalg::Vector& q1 = z.q1;
+  linalg::Vector& q2 = z.q2;
+  linalg::Vector& kq = z.kq;
 
   // Per-solve workspaces, reused every iteration so the loop itself is
   // allocation-free (the operators' *_into paths write in place).
@@ -211,16 +258,20 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   linalg::Vector u_new(m);         // Φx̃.
   linalg::Vector q1_new(m);
   linalg::Vector kq_new(n);
-  linalg::Vector x_anchor = x;     // Iterate at the last ω update.
-  linalg::Vector q1_anchor(m);
-  linalg::Vector q2_anchor(box ? n : 0);
   linalg::Vector box_dual(box ? n : 0);    // g, the box bound's ℓ1 dual.
   linalg::Vector box_normal(box ? n : 0);  // c = Ψg + Φᵀq₁.
+  // Restart state: the sum of the iterates since the last restart, their
+  // average and its ΨᵀKᵀq, and the last restart point.
+  Iterate sum(n, m, box ? n : 0);
+  Iterate average(n, m, box ? n : 0);
+  linalg::Vector current_r(n);  // ΨᵀKᵀq of the current iterate.
+  linalg::Vector average_r(n);
+  Iterate anchor = z;
 
   // Feasibility scales: σ (floored by ‖y‖) for the ball, each cell's own
   // width (floored by the widest) for the box.
-  const double ball_tol =
-      options.feasibility_tol * std::max(sigma, kBallFloor * linalg::norm2(y));
+  const double ball_scale = std::max(sigma, kBallFloor * linalg::norm2(y));
+  const double ball_tol = options.feasibility_tol * ball_scale;
   double box_floor = 0.0;
   if (box) {
     double widest = 0.0;
@@ -229,6 +280,52 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     }
     box_floor = kBoxFloor * widest;
   }
+  double max_weight = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    max_weight = std::max(max_weight, weight(i));
+  }
+  if (max_weight == 0.0) max_weight = 1.0;
+
+  // The relative KKT error of an iterate, given its r = ΨᵀKᵀq: the
+  // Euclidean norm of the relative gap between P = Σwᵢ|(Ψᵀx)ᵢ| and the
+  // Lagrangian dual value −F*(q), the ball and box violations in the
+  // feasibility scales, and the dual violation max(|rᵢ| − wᵢ, 0) over the
+  // largest weight.  Every term is unchanged when y, σ and the box are
+  // scaled together, and none depends on tol, so restarts never move with
+  // the stopping rule.
+  const auto kkt_error = [&](const Iterate& point, const double* r) {
+    double primal = 0.0;
+    double dual_viol = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = weight(i);
+      primal += w * std::abs(point.coeffs[i]);
+      dual_viol = std::max(dual_viol, std::abs(r[i]) - w);
+    }
+    double support =
+        linalg::dot(point.q1, y) + sigma * linalg::norm2(point.q1);
+    double box_rel = 0.0;
+    if (box) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double lo = box->lower[i];
+        const double hi = box->upper[i];
+        const double viol =
+            std::max({lo - point.x[i], point.x[i] - hi, 0.0});
+        const double width = std::max(hi - lo, box_floor);
+        box_rel = std::max(box_rel, width > 0.0 ? viol / width : viol);
+        support += std::max(lo * point.q2[i], hi * point.q2[i]);
+      }
+    }
+    const double magnitude = std::max(std::abs(primal), std::abs(support));
+    const double gap =
+        magnitude > 0.0 ? std::abs(primal + support) / magnitude : 0.0;
+    const double ball_viol =
+        std::max(0.0, std::sqrt(squared_distance(point.u, y)) - sigma);
+    const double ball_rel =
+        ball_scale > 0.0 ? ball_viol / ball_scale : ball_viol;
+    const double dual_rel = dual_viol / max_weight;
+    return std::sqrt(gap * gap + ball_rel * ball_rel + box_rel * box_rel +
+                     dual_rel * dual_rel);
+  };
 
   PdhgResult result;
   // The certificate at the current iterate (x, q); `last` marks the exit
@@ -298,10 +395,69 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     result.converged = feasible && result.gap <= options.tol;
   };
 
+  // Restart bookkeeping: the epoch's first iteration, the KKT error at its
+  // start and at the previous evaluation's candidate.
+  int epoch_start = 0;
+  int averaged = 0;  // Iterates in `sum`.
+  double restart_error = 0.0;
+  double previous_error = std::numeric_limits<double>::infinity();
+
+  // Every kRestartEvery iterations, at the top of the loop (step_coeffs
+  // holds Ψᵀ(x − τKᵀq) of the current iterate): score the current and the
+  // average iterate, and restart to the better one when a PDLP rule
+  // fires.  A restart moves ω halfway in log space towards the observed
+  // ratio, ω ← √(ω·‖Δq‖/‖Δx‖), with Δ taken between restart points and
+  // the dual blocks in their own metric; then it recomputes the primal
+  // step argument.
+  const auto maybe_restart = [&](int it) {
+    for (std::size_t i = 0; i < n; ++i) {
+      current_r[i] = (coeffs[i] - step_coeffs[i]) / tau;
+    }
+    const double current_error = kkt_error(z, current_r.data());
+    if (averaged == 0) {
+      restart_error = current_error;
+      return;
+    }
+    average.assign_scaled(sum, 1.0 / static_cast<double>(averaged));
+    psi.apply_adjoint_into(average.kq, average_r);
+    const double average_error = kkt_error(average, average_r.data());
+    const bool to_average = average_error < current_error;
+    const double candidate = to_average ? average_error : current_error;
+    const bool restart =
+        candidate <= kSufficient * restart_error ||
+        (candidate <= kNecessary * restart_error &&
+         candidate > previous_error) ||
+        it - epoch_start >= kArtificial * static_cast<double>(it);
+    if (!restart) {
+      previous_error = candidate;
+      return;
+    }
+    if (to_average) std::swap(z, average);
+    const double dx = std::sqrt(squared_distance(x, anchor.x));
+    const double dq = std::sqrt(
+        squared_distance(q1, anchor.q1) +
+        (box ? squared_distance(q2, anchor.q2) / c_box : 0.0));
+    if (dx > 0.0 && dq > 0.0 && std::isfinite(dq / dx)) {
+      omega = std::sqrt(omega * dq / dx);
+      tau = eta / omega;
+      sigma_ball = eta * omega;
+      sigma_box = eta * omega * c_box;
+    }
+    anchor = z;
+    sum.set_zero();
+    averaged = 0;
+    epoch_start = it;
+    restart_error = candidate;
+    previous_error = std::numeric_limits<double>::infinity();
+    primal_step(n, tau, x.data(), kq.data(), step_point.data());
+    psi.apply_adjoint_into(step_point, step_coeffs);
+  };
+
   for (int it = 0;; ++it) {
     // Primal step argument, in the coefficient domain.
     primal_step(n, tau, x.data(), kq.data(), step_point.data());
     psi.apply_adjoint_into(step_point, step_coeffs);
+    if (it % kRestartEvery == 0) maybe_restart(it);
     if (it == options.max_iterations ||
         (it > 0 && it % options.check_every == 0)) {
       obs::trace_instant("solver.pdhg.check", "solver", "iteration",
@@ -331,35 +487,20 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     phi.apply_adjoint_into(q1_new, kq_new);
 
     // Over-relaxation z ← z + ρ(z̃ − z) of the iterate and of its carried
-    // products.  The box block's q̃₂ reads the x before the relaxation and
-    // completes kq_new = Φᵀq̃₁ + q̃₂.
-    relax(m, u_new.data(), u.data());
-    relax(m, q1_new.data(), q1.data());
+    // products, each relaxed value also added to the running sum.  The box
+    // block's q̃₂ reads the x before the relaxation and completes
+    // kq_new = Φᵀq̃₁ + q̃₂.
+    relax(m, u_new.data(), u.data(), sum.u.data());
+    relax(m, q1_new.data(), q1.data(), sum.q1.data());
     if (box) {
       box_step(n, sigma_box, box->lower.data(), box->upper.data(),
-               x_new.data(), x.data(), q2.data(), kq_new.data());
+               x_new.data(), x.data(), q2.data(), sum.q2.data(),
+               kq_new.data());
     }
-    relax(n, x_new.data(), x.data());
-    relax(n, coeffs_new.data(), coeffs.data());
-    relax(n, kq_new.data(), kq.data());
-
-    // Adaptive primal weight (PDLP): ω ← √(ω·‖Δq‖/‖Δx‖) over the last
-    // kWeightEvery iterations, with the dual blocks in their own metric.
-    if ((it + 1) % kWeightEvery == 0) {
-      const double dx = std::sqrt(squared_distance(x, x_anchor));
-      const double dq = std::sqrt(
-          squared_distance(q1, q1_anchor) +
-          (box ? squared_distance(q2, q2_anchor) / c_box : 0.0));
-      if (dx > 0.0 && dq > 0.0 && std::isfinite(dq / dx)) {
-        omega = std::sqrt(omega * dq / dx);
-        tau = eta / omega;
-        sigma_ball = eta * omega;
-        sigma_box = eta * omega * c_box;
-      }
-      x_anchor = x;
-      q1_anchor = q1;
-      q2_anchor = q2;
-    }
+    relax(n, x_new.data(), x.data(), sum.x.data());
+    relax(n, coeffs_new.data(), coeffs.data(), sum.coeffs.data());
+    relax(n, kq_new.data(), kq.data(), sum.kq.data());
+    ++averaged;
   }
 
   result.objective = linalg::norm1(coeffs);

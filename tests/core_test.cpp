@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "csecg/core/config.hpp"
@@ -424,5 +426,58 @@ TEST_F(FrontEndTest, SigmaScaleZeroStillDecodes) {
                 metrics::prd_zero_mean(test_window(), result.x)),
             10.0);
 }
+TEST(ReferenceQuality, DesignPointWindowsMatchATightReference) {
+  // run_report's window set (8 records × 2 windows, 30 s records, seed
+  // 2015, n=256, m=48, db4/4, cap 400) decoded at the default tolerances
+  // and again at tol = feasibility_tol = 10⁻⁷ with a 100k cap.  Every
+  // reference must certify, and every default window must be within
+  // 0.05 dB SNR of its reference: a change that stops the solver on a
+  // worse point shows up here, not only as a move against the last
+  // ledgers.
+  ecg::RecordConfig record_config;
+  record_config.duration_seconds = 30.0;
+  const ecg::SyntheticDatabase database(record_config, 2015);
+  FrontEndConfig config;
+  config.window = 256;
+  config.measurements = 48;
+  config.wavelet_levels = 4;
+  config.solver.max_iterations = 400;
+  const coding::DeltaHuffmanCodec lowres =
+      train_lowres_codec(config, database, 3, 3);
+  FrontEndConfig tight = config;
+  tight.solver.tol = 1e-7;
+  tight.solver.feasibility_tol = 1e-7;
+  tight.solver.max_iterations = 100000;
+  const Codec codec(config, lowres);
+  const Codec reference(tight, lowres);
+
+  const auto snr = [](const linalg::Vector& window, const linalg::Vector& x) {
+    return metrics::snr_from_prd(metrics::prd_zero_mean(window, x));
+  };
+  int windows = 0;
+  double max_delta = 0.0;
+  double sum_delta = 0.0;
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (const linalg::Vector& window :
+         ecg::extract_windows(database.record(r), config.window, 2)) {
+      const Frame frame = codec.encoder().encode(window);
+      const DecodeResult got = codec.decoder().decode(frame);
+      const DecodeResult want = reference.decoder().decode(frame);
+      EXPECT_TRUE(want.solver.converged)
+          << "record " << r << ": reference gap " << want.solver.gap
+          << " after " << want.solver.iterations << " iterations";
+      const double delta = snr(window, got.x) - snr(window, want.x);
+      EXPECT_LE(std::abs(delta), 0.05) << "record " << r << ", window "
+                                       << windows;
+      max_delta = std::max(max_delta, std::abs(delta));
+      sum_delta += std::abs(delta);
+      ++windows;
+    }
+  }
+  EXPECT_EQ(windows, 16);
+  std::printf("[ reference ] %d windows: max |dSNR| %.4f dB, mean %.4f dB\n",
+              windows, max_delta, sum_delta / windows);
+}
+
 }  // namespace
 }  // namespace csecg::core

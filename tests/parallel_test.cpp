@@ -1,12 +1,15 @@
-// Tests for csecg::parallel — pool semantics (coverage, chunk assignment,
+// Tests for csecg::parallel — pool semantics (coverage, dynamic dispatch,
 // exception propagation, nesting) and the experiment-layer determinism
 // guarantee: a multi-threaded run_database or run_link_database produces
 // reports bit-identical to the serial run.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "csecg/core/frontend.hpp"
@@ -106,6 +109,56 @@ TEST(ThreadPool, PropagatesExceptionsFromLoopBodies) {
   std::atomic<int> count{0};
   pool.parallel_for(0, 10, [&count](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPool, ClaimsEveryIndexOnceUnderSkewedCosts) {
+  // A few indices cost far more than the rest, the shape of a link run
+  // where lossy windows take many more solver iterations.  Dispatch must
+  // still run each index exactly once, and the slot-indexed results must
+  // equal the serial map's.
+  parallel::ThreadPool pool(4);
+  parallel::ThreadPool serial(1);
+  constexpr std::size_t kCount = 300;
+  std::vector<std::atomic<int>> hits(kCount);
+  const auto body = [&hits](std::size_t i) {
+    ++hits[i];
+    if (i % 97 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    double v = 0.0;
+    for (std::size_t k = 0; k < (i % 7) * 500; ++k) {
+      v += 1.0 / static_cast<double>(1 + k + i);
+    }
+    return v;
+  };
+  const auto pooled = pool.parallel_map<double>(kCount, body);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(hits[i].exchange(0), 1) << "index " << i;
+  }
+  const auto reference = serial.parallel_map<double>(kCount, body);
+  ASSERT_EQ(pooled.size(), reference.size());
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(pooled[i], reference[i]) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, RethrowsLowestFailingIndex) {
+  // Two indices throw.  The higher one fails first (the lower one sleeps
+  // before throwing), and it must still be the lower one's exception that
+  // reaches the caller, on every repeat.
+  parallel::ThreadPool pool(4);
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    try {
+      pool.parallel_for(0, 64, [](std::size_t i) {
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          throw std::runtime_error("index 5");
+        }
+        if (i == 40) throw std::runtime_error("index 40");
+      });
+      ADD_FAILURE() << "no exception on repeat " << repeat;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "index 5") << "repeat " << repeat;
+    }
+  }
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {

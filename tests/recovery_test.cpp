@@ -467,6 +467,30 @@ TEST(Pdhg, ZeroWeightsDoNotCertifyEarly) {
   EXPECT_GT(zero.gap, options.tol);
 }
 
+TEST(Pdhg, ZeroWeightsWithABoxCertifyAtTightTolerance) {
+  // With a box, zero weights leave a valid bound (see
+  // ZeroWeightsCertifyOnlyOnAValidBoxBound), so a tight solve must reach
+  // it.  Without restarts this one cycles: ω freezes and the iterate stays
+  // 10⁻⁴ off the ball at every cap.
+  const BoxedProblem p = boxed_problem(1.0);
+  PdhgOptions options;
+  options.tol = 1e-9;
+  options.feasibility_tol = 1e-9;
+  options.max_iterations = 20000;
+  options.coefficient_weights = Vector(128, 1.0);
+  for (std::size_t i = 0; i < 128; i += 4) {
+    options.coefficient_weights[i] = 0.0;
+  }
+  const PdhgResult res =
+      solve_bpdn(LinearOperator::from_matrix(p.a),
+                 LinearOperator::identity(128), p.y, p.sigma, p.box, options);
+  EXPECT_TRUE(res.converged) << "gap " << res.gap << ", ball "
+                             << res.ball_violation << ", box "
+                             << res.box_violation;
+  EXPECT_LT(res.iterations, options.max_iterations);
+  EXPECT_LE(res.gap, options.tol);
+}
+
 /// Σ wᵢ|xᵢ| (Ψ = I), with w ≡ 1 when `weights` is empty.
 double weighted_l1(const Vector& x, const Vector& weights) {
   double sum = 0.0;
