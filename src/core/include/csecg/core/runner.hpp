@@ -85,8 +85,6 @@ struct WindowMetrics : WindowQuality {
   double snr_raw = 0.0;   ///< SNR from raw PRD.
   std::size_t cs_bits = 0;
   std::size_t lowres_bits = 0;
-  std::uint64_t encode_ns = 0;   ///< Encode wall time (0 if obs disabled).
-  std::uint64_t decode_ns = 0;   ///< Decode wall time (0 if obs disabled).
 };
 
 /// Aggregate over one cleanly decoded record.
@@ -95,9 +93,6 @@ struct RecordReport : RecordQuality {
   double cs_cr_percent = 0.0;       ///< CS-channel CR (config-determined).
   double overhead_percent = 0.0;    ///< Measured side-channel overhead Dᵢ.
   double net_cr_percent = 0.0;      ///< cs_cr − overhead.
-  // --- Per-stage wall time (zero when obs::set_enabled(false)) ------------
-  double encode_seconds = 0.0;
-  double decode_seconds = 0.0;
 };
 
 /// Appends the ledger fields every path shares, "iterations" through
@@ -129,8 +124,8 @@ void run_windows(Report& report, const ecg::EcgRecord& record,
   report.record_name = record.name;
   report.windows =
       pool.parallel_map<Metrics>(windows.size(), [&](std::size_t w) {
-        obs::TraceScope window_trace("runner.window", "runner", "window",
-                                     static_cast<std::uint64_t>(w));
+        const obs::Stage stage("runner.window", "runner", nullptr, "window",
+                               static_cast<std::uint64_t>(w));
         return step(windows[w], w);
       });
 

@@ -7,7 +7,6 @@
 #include "csecg/coding/decode_error.hpp"
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 
 namespace csecg::core {
@@ -113,8 +112,7 @@ const std::optional<sensing::Quantizer>& Encoder::measurement_adc()
 Frame Encoder::encode(const linalg::Vector& window) const {
   static obs::Histogram& encode_hist = obs::histogram("encode.window_ns");
   static obs::Counter& encoded_windows = obs::counter("encode.windows");
-  const obs::Span encode_span(encode_hist);
-  obs::TraceScope encode_trace("encode", "core");
+  const obs::Stage stage("encode", "core", &encode_hist);
   encoded_windows.add();
   CSECG_CHECK(window.size() == config_.window,
               "Encoder::encode: window has " << window.size()
@@ -171,7 +169,7 @@ Decoder::Decoder(FrontEndConfig config,
 
 DecodeResult Decoder::decode(const Frame& frame, DecodeMode mode) const {
   static obs::Counter& decoded_windows = obs::counter("decode.windows");
-  obs::TraceScope decode_trace("decode", "core");
+  const obs::Stage stage("decode", "core");
   decoded_windows.add();
   CSECG_CHECK(frame.window == config_.window,
               "Decoder::decode: frame window " << frame.window
@@ -269,7 +267,7 @@ DecodeResult Decoder::solve_window(
 
 LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
   static obs::Counter& lossy_windows = obs::counter("decode.lossy_windows");
-  obs::TraceScope decode_trace("decode_lossy", "core", "m_eff");
+  obs::Stage stage("decode_lossy", "core", nullptr, "m_eff");
   lossy_windows.add();
   const std::size_t n = config_.window;
   const std::size_t m = config_.measurements;
@@ -291,7 +289,7 @@ LossyDecodeResult Decoder::decode_lossy(const LossyWindow& window) const {
   for (const std::uint8_t bit : window.measurement_mask) {
     result.effective_m += (bit != 0);
   }
-  decode_trace.set_arg(result.effective_m);
+  stage.set_arg(result.effective_m);
 
   // Sanitize the side channel: a sample only keeps its box when its
   // packet arrived AND its code is a legal B-bit value (the reassembler

@@ -61,12 +61,8 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
   run_windows(
       report, record, config.window, window_count, pool, ledger_base,
       [&](const linalg::Vector& window, std::size_t) {
-        const bool timed = obs::enabled();
-        const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
         const Frame frame = codec.encoder().encode(window);
-        const std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
         const DecodeResult decoded = codec.decoder().decode(frame, mode);
-        const std::uint64_t t2 = timed ? obs::monotonic_ns() : 0;
 
         WindowMetrics m;
         m.score(window, decoded.x, decoded.solver);
@@ -74,8 +70,6 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
         m.snr_raw = metrics::snr_from_prd(m.prd_raw);
         m.cs_bits = frame.cs_bits();
         m.lowres_bits = frame.lowres_bits;
-        m.encode_ns = t1 - t0;
-        m.decode_ns = t2 - t1;
         return m;
       },
       [&](std::string& row, const WindowMetrics& m, std::size_t w,
@@ -105,15 +99,9 @@ RecordReport run_record(const Codec& codec, const ecg::EcgRecord& record,
       });
 
   double lowres_bits_sum = 0.0;
-  std::uint64_t encode_ns_sum = 0;
-  std::uint64_t decode_ns_sum = 0;
   for (const WindowMetrics& m : report.windows) {
     lowres_bits_sum += static_cast<double>(m.lowres_bits);
-    encode_ns_sum += m.encode_ns;
-    decode_ns_sum += m.decode_ns;
   }
-  report.encode_seconds = static_cast<double>(encode_ns_sum) * 1e-9;
-  report.decode_seconds = static_cast<double>(decode_ns_sum) * 1e-9;
   report.cs_cr_percent = config.cs_compression_ratio();
   const double original_bits_per_window =
       static_cast<double>(config.window) *

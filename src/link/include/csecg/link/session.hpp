@@ -90,8 +90,7 @@ class LinkSession {
 /// accounting.
 struct LinkWindowMetrics : core::WindowQuality {
   LinkStats stats;
-  double energy_j = 0.0;        ///< Whole-node energy for the window.
-  std::uint64_t window_ns = 0;  ///< encode→decode wall time (0 if obs off).
+  double energy_j = 0.0;  ///< Whole-node energy for the window.
 };
 
 /// Aggregate over one record crossing the link.  On a lossy link the
@@ -102,8 +101,6 @@ struct LinkRecordReport : core::RecordQuality {
   double mean_energy_j = 0.0;
   std::size_t retransmissions = 0;
   std::size_t lowres_only_windows = 0;
-  // --- Wall time across the whole link pipeline (0 when obs disabled) -----
-  double window_seconds = 0.0;
 };
 
 /// Streams `window_count` windows of one record through the session on

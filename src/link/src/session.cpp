@@ -6,7 +6,6 @@
 #include "csecg/common/check.hpp"
 #include "csecg/obs/json.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/rng/xoshiro.hpp"
 
@@ -42,7 +41,7 @@ power::NodeEnergy price_window(const core::FrontEndConfig& config,
   cs_path.window = config.window;
   cs_path.adc_bits = config.measurement_adc_bits;
   cs_path.nyquist_hz = link.nyquist_hz;
-  const double window_seconds =
+  const double window_duration_s =
       static_cast<double>(config.window) / link.nyquist_hz;
   if (config.lowres_bits > 0) {
     power::HybridDesign design;
@@ -50,11 +49,11 @@ power::NodeEnergy price_window(const core::FrontEndConfig& config,
     design.lowres_bits = config.lowres_bits;
     return power::link_window_energy(design, link.tech, link.node,
                                      stats.data_bits, stats.feedback_bits,
-                                     window_seconds);
+                                     window_duration_s);
   }
   return power::link_window_energy(cs_path, link.tech, link.node,
                                    stats.data_bits, stats.feedback_bits,
-                                   window_seconds);
+                                   window_duration_s);
 }
 
 }  // namespace
@@ -98,25 +97,21 @@ WindowResult LinkSession::transmit_window(const linalg::Vector& window,
       obs::counter("link.arq.retransmissions");
   static obs::Counter& link_crc_failures = obs::counter("link.crc_failures");
 
-  obs::TraceScope window_trace("link.window", "link", "sequence",
-                               static_cast<std::uint64_t>(sequence));
+  const obs::Stage stage("link.window", "link", nullptr, "sequence",
+                         static_cast<std::uint64_t>(sequence));
   const core::Frame frame = encoder_.encode(window);
   const auto window_seq = static_cast<std::uint16_t>(sequence & 0xFFFFu);
-  obs::Span packetize_span(packetize_hist);
-  obs::TraceScope packetize_trace("link.packetize", "link");
+  obs::Stage packetize("link.packetize", "link", &packetize_hist);
   const auto packets = packetizer_.packetize(frame, window_seq);
-  packetize_trace.stop();
-  packetize_span.stop();
+  packetize.stop();
 
   WindowResult out;
   Channel channel(link_.channel, channel_seed(sequence));
-  obs::Span transmit_span(transmit_hist);
-  obs::TraceScope transmit_trace("link.transmit", "link", "packets",
-                                 static_cast<std::uint64_t>(packets.size()));
+  obs::Stage transmit("link.transmit", "link", &transmit_hist, "packets",
+                      static_cast<std::uint64_t>(packets.size()));
   const auto delivered =
       transmit_packets(packets, channel, link_.arq, out.stats);
-  transmit_trace.stop();
-  transmit_span.stop();
+  transmit.stop();
   const ReassemblyResult reassembled =
       reassembler_.reassemble(window_seq, delivered);
 
@@ -146,18 +141,14 @@ LinkRecordReport run_link_record(const LinkSession& session,
   core::run_windows(
       report, record, config.window, window_count, pool, base_sequence,
       [&](const linalg::Vector& window, std::size_t w) {
-        const bool timed = obs::enabled();
-        const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
         const WindowResult result = session.transmit_window(
             window, base_sequence + static_cast<std::uint32_t>(w));
-        const std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
 
         LinkWindowMetrics m;
         m.score(window, result.decoded.x, result.decoded.solver);
         m.solved = !result.decoded.lowres_only;
         m.stats = result.stats;
         m.energy_j = result.energy.total();
-        m.window_ns = t1 - t0;
         return m;
       },
       // Only deterministic fields: the channel substream is seeded per
@@ -205,7 +196,6 @@ LinkRecordReport run_link_record(const LinkSession& session,
       });
 
   double energy_sum = 0.0;
-  std::uint64_t window_ns_sum = 0;
   std::size_t sent = 0;
   std::size_t delivered = 0;
   for (const LinkWindowMetrics& m : report.windows) {
@@ -213,13 +203,11 @@ LinkRecordReport run_link_record(const LinkSession& session,
     sent += m.stats.packets;
     delivered += m.stats.delivered;
     report.retransmissions += m.stats.retransmissions;
-    window_ns_sum += m.window_ns;
     // No solver ran: the decoder emitted the low-res staircase.
     if (!m.solved) ++report.lowres_only_windows;
   }
   report.mean_energy_j =
       energy_sum / static_cast<double>(report.windows.size());
-  report.window_seconds = static_cast<double>(window_ns_sum) * 1e-9;
   report.delivery_rate =
       sent == 0 ? 1.0
                 : static_cast<double>(delivered) / static_cast<double>(sent);

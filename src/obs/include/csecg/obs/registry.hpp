@@ -1,4 +1,4 @@
-// Lightweight observability: named atomic counters, gauges, and lock-free
+// Lightweight observability: named atomic counters and lock-free
 // per-thread histograms, scraped into a structured JSON snapshot.
 //
 // Design constraints (see DESIGN.md "Observability"):
@@ -8,11 +8,11 @@
 //    a name, first record from a new thread) and at scrape time.
 //  * Instrumented code caches references: `static obs::Counter& c =
 //    obs::counter("solver.pdhg.solves");` — the name lookup happens once.
-//  * Timing can be switched off globally (obs::set_enabled(false)): spans
-//    stop reading the clock and histograms go quiet, while counters keep
-//    running so reports stay correct.  bench_trace_overhead holds the
-//    < 2% throughput-cost bar for the enabled configuration (its
-//    `default` arm over its `dark` arm).
+//  * Timing can be switched off globally (obs::set_enabled(false)): stages
+//    (obs::Stage in trace.hpp) stop timing into histograms and histograms
+//    go quiet, while counters keep running so reports stay correct.
+//    bench_trace_overhead holds the < 2% throughput-cost bar for the
+//    enabled configuration (its `default` arm over its `dark` arm).
 //
 // Naming scheme: dotted lower_snake paths `<module>.<unit>.<event>`, e.g.
 // `solver.pdhg.non_converged`, `quantizer.clamped_high`,
@@ -54,21 +54,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-value-wins instantaneous measurement.
-class Gauge {
- public:
-  void set(double value) noexcept {
-    value_.store(value, std::memory_order_relaxed);
-  }
-  double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Log2-bucketed histogram of non-negative integer samples (typically
@@ -119,7 +104,7 @@ class Histogram {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// A named set of counters, gauges, and histograms.  Lookup is find-or-
+/// A named set of counters and histograms.  Lookup is find-or-
 /// create under a mutex; the returned references are stable for the
 /// registry's lifetime (node-based storage), which is what lets call sites
 /// cache them in function-local statics.
@@ -130,12 +115,10 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Serializes every metric:
   ///   {"counters": {name: n, ...},
-  ///    "gauges": {name: x, ...},
   ///    "histograms": {name: {"count": n, "sum": s, "max": m,
   ///                          "mean": x, "p50": a, "p90": b, "p99": c}}}
   /// Keys are sorted; the output is stable given stable metric values.
@@ -150,13 +133,11 @@ class Registry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 /// Convenience accessors on the global registry.
 Counter& counter(std::string_view name);
-Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
 /// Registry::global().snapshot_json().

@@ -1,6 +1,8 @@
 // Structured pipeline tracing: per-thread fixed-capacity event buffers
 // behind a process-wide gate, exported as Chrome trace-event JSON that
-// loads directly in Perfetto / chrome://tracing.
+// loads directly in Perfetto / chrome://tracing.  obs::Stage, the one
+// timer every pipeline stage uses, lives here too: it feeds a stage's
+// histogram and its trace event from one clock pair.
 //
 // Design constraints (see DESIGN.md "Observability"):
 //  * The disabled hot path stays allocation-free: every emit site is one
@@ -77,47 +79,60 @@ std::string trace_json();
 /// Histogram::reset: events being recorded concurrently may survive.
 void trace_reset();
 
-/// Times a scope into the trace as one complete event.  Reads no clock and
-/// records nothing while tracing is disabled.
+/// Times one pipeline stage into both obs sinks from one clock pair: a
+/// histogram sample (nanoseconds) when `sink` is given and obs::enabled(),
+/// and a complete trace event when trace_enabled().  With both gates off
+/// it reads no clock and records nothing.
 ///
-///   void Encoder::encode(...) {
-///     obs::TraceScope trace("encode", "core");
+///   Frame Encoder::encode(...) const {
+///     static obs::Histogram& h = obs::histogram("encode.window_ns");
+///     const obs::Stage stage("encode", "core", &h);
 ///     ...
-///   }  // event emitted on scope exit
+///   }  // sample and event recorded on scope exit
 ///
-/// An optional u64 argument can be named at construction and filled in
-/// later (e.g. an iteration count known only at the end of the scope).
-class TraceScope {
+/// An optional u64 trace argument can be named at construction and filled
+/// in later (e.g. an iteration count known only at the end of the scope).
+class Stage {
  public:
-  explicit TraceScope(const char* name, const char* category,
-                      const char* arg_name = nullptr,
-                      std::uint64_t arg = 0) noexcept
+  explicit Stage(const char* name, const char* category,
+                 Histogram* sink = nullptr, const char* arg_name = nullptr,
+                 std::uint64_t arg = 0) noexcept
       : name_(trace_enabled() ? name : nullptr),
         category_(category),
         arg_name_(arg_name),
+        sink_(sink != nullptr && enabled() ? sink : nullptr),
         arg_(arg),
-        start_ns_(name_ != nullptr ? monotonic_ns() : 0) {}
+        start_ns_(armed() ? monotonic_ns() : 0) {}
 
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
 
-  ~TraceScope() { stop(); }
+  ~Stage() { stop(); }
 
-  /// Updates the argument value emitted with the event.
+  /// Updates the argument value emitted with the trace event.
   void set_arg(std::uint64_t value) noexcept { arg_ = value; }
 
-  /// Emits now and disarms the destructor.
-  void stop() noexcept {
-    if (name_ == nullptr) return;
-    trace_complete(name_, category_, start_ns_, monotonic_ns() - start_ns_,
-                   arg_name_, arg_);
+  /// Records now, disarms the destructor, and returns the elapsed
+  /// nanoseconds (0 when both gates were off or already stopped).
+  std::uint64_t stop() noexcept {
+    if (!armed()) return 0;
+    const std::uint64_t elapsed = monotonic_ns() - start_ns_;
+    if (sink_ != nullptr) sink_->record(elapsed);
+    if (name_ != nullptr) {
+      trace_complete(name_, category_, start_ns_, elapsed, arg_name_, arg_);
+    }
     name_ = nullptr;
+    sink_ = nullptr;
+    return elapsed;
   }
 
  private:
-  const char* name_;
+  bool armed() const noexcept { return name_ != nullptr || sink_ != nullptr; }
+
+  const char* name_;  ///< nullptr = not traced.
   const char* category_;
   const char* arg_name_;
+  Histogram* sink_;   ///< nullptr = no histogram sample.
   std::uint64_t arg_;
   std::uint64_t start_ns_;
 };

@@ -145,18 +145,6 @@ Counter& Registry::counter(std::string_view name) {
   return it->second;
 }
 
-Gauge& Registry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(name), std::forward_as_tuple())
-             .first;
-  }
-  return it->second;
-}
-
 Histogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = histograms_.find(name);
@@ -181,15 +169,6 @@ std::string Registry::snapshot_json() const {
     append_json_string(out, name);
     out += ':';
     append_json_u64(out, value.value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ':';
-    append_json_double(out, value.value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -221,7 +200,6 @@ std::string Registry::snapshot_json() const {
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, value] : counters_) value.reset();
-  for (auto& [name, value] : gauges_) value.reset();
   for (auto& [name, hist] : histograms_) hist->reset();
 }
 
@@ -236,8 +214,6 @@ Registry& Registry::global() {
 Counter& counter(std::string_view name) {
   return Registry::global().counter(name);
 }
-
-Gauge& gauge(std::string_view name) { return Registry::global().gauge(name); }
 
 Histogram& histogram(std::string_view name) {
   return Registry::global().histogram(name);

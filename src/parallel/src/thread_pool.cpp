@@ -7,7 +7,6 @@
 
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 
 namespace csecg::parallel {
@@ -110,8 +109,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   static obs::Histogram& wait_hist = obs::histogram("pool.queue_wait_ns");
 
   auto participate = [&fn, &shared, end](std::size_t participant) {
-    const obs::Span run_span(run_hist);
-    obs::TraceScope chunk_trace("pool.chunk", "pool", "chunk", participant);
+    const obs::Stage stage("pool.chunk", "pool", &run_hist, "chunk",
+                           participant);
     for (;;) {
       const std::size_t i =
           shared.next.fetch_add(1, std::memory_order_relaxed);

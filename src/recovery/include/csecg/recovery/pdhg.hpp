@@ -36,10 +36,10 @@ struct BoxConstraint {
 
 /// PDHG options.
 ///
-/// The step sizes, the over-relaxation and the primal weight that balances
-/// them are not options: the steps come from ‖Φ‖ and the row sums of
-/// K = [Φ; I], and the primal weight adapts to the problem's own primal and
-/// dual scales (see solve_bpdn).
+/// The step sizes, the over-relaxation, the primal weight that balances
+/// them and the certificate cadence are not options: the steps come from
+/// ‖Φ‖ and the row sums of K = [Φ; I], and the primal weight adapts to the
+/// problem's own primal and dual scales (see solve_bpdn).
 struct PdhgOptions {
   int max_iterations = 2000;
   /// Relative duality-gap tolerance: the solve stops once
@@ -49,11 +49,6 @@ struct PdhgOptions {
   /// Allowed constraint violation at a certified exit, relative to
   /// max(σ, 10⁻³‖y‖) for the ball and to each cell's width for the box.
   double feasibility_tol = 1e-3;
-  /// Evaluate the certificate every this many iterations.
-  int check_every = 10;
-  /// Safety factor on the step sizes (the product of primal and dual steps
-  /// is step_safety² / ‖K‖² in the preconditioned metric).
-  double step_safety = 0.99;
   /// Known ‖Φ‖₂, to skip the internal power iteration when the caller
   /// reuses one sensing operator across many solves.  0 = estimate.
   double phi_norm_hint = 0.0;

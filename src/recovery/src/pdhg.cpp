@@ -6,7 +6,6 @@
 
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 #include "csecg/recovery/prox.hpp"
 
@@ -18,6 +17,14 @@ namespace {
 // z ← z + ρ(T z − z).  Any ρ in (0, 2) converges; 1.9 takes nearly the
 // longest step that does.
 constexpr double kRelaxation = 1.9;
+
+// Safety factor on the step sizes: the product of primal and dual steps is
+// kStepSafety² / ‖K‖² in the preconditioned metric.
+constexpr double kStepSafety = 0.99;
+
+// The gap certificate is evaluated every kCheckEvery iterations (and at
+// the cap).
+constexpr int kCheckEvery = 10;
 
 // Adaptive restarts (PDLP, Applegate et al. 2021).  Every kRestartEvery
 // iterations the current and the average iterate since the last restart
@@ -149,9 +156,6 @@ void validate(const PdhgOptions& options) {
   CSECG_CHECK(options.tol > 0.0, "PdhgOptions: tol must be positive");
   CSECG_CHECK(options.feasibility_tol > 0.0,
               "PdhgOptions: feasibility_tol must be positive");
-  CSECG_CHECK(options.check_every > 0, "PdhgOptions: check_every <= 0");
-  CSECG_CHECK(options.step_safety > 0.0 && options.step_safety < 1.0,
-              "PdhgOptions: step_safety must be in (0, 1)");
   CSECG_CHECK(options.phi_norm_hint >= 0.0,
               "PdhgOptions: phi_norm_hint must be non-negative");
   for (double w : options.coefficient_weights) {
@@ -165,8 +169,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
                       const std::optional<BoxConstraint>& box,
                       const PdhgOptions& options) {
   static obs::Histogram& solve_hist = obs::histogram("solver.pdhg.solve_ns");
-  const obs::Span solve_span(solve_hist);
-  obs::TraceScope solve_trace("solver.pdhg.solve", "solver", "iterations");
+  obs::Stage stage("solver.pdhg.solve", "solver", &solve_hist, "iterations");
   validate(options);
   const std::size_t m = phi.rows();
   const std::size_t n = phi.cols();
@@ -195,14 +198,13 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
 
   // Block-diagonal steps from the row sums of K = [Φ; I] (Pock & Chambolle
   // 2011): c_ball = 1, c_box = n.  With τ = η/ω and σ_b = η·ω·c_b the
-  // preconditioned ‖Σ^½KT^½‖ is step_safety whatever the primal weight ω.
+  // preconditioned ‖Σ^½KT^½‖ is kStepSafety whatever the primal weight ω.
   const double phi_norm = options.phi_norm_hint > 0.0
                               ? options.phi_norm_hint
                               : linalg::operator_norm_estimate(phi, 60);
   const double c_box = box ? static_cast<double>(n) : 0.0;
   const double eta =
-      options.step_safety /
-      std::max(std::sqrt(phi_norm * phi_norm + c_box), 1e-12);
+      kStepSafety / std::max(std::sqrt(phi_norm * phi_norm + c_box), 1e-12);
 
   // Warm start: caller-provided, else box midpoint (already nearly
   // feasible), else zero.
@@ -458,8 +460,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     primal_step(n, tau, x.data(), kq.data(), step_point.data());
     psi.apply_adjoint_into(step_point, step_coeffs);
     if (it % kRestartEvery == 0) maybe_restart(it);
-    if (it == options.max_iterations ||
-        (it > 0 && it % options.check_every == 0)) {
+    if (it == options.max_iterations || (it > 0 && it % kCheckEvery == 0)) {
       obs::trace_instant("solver.pdhg.check", "solver", "iteration",
                          static_cast<std::uint64_t>(it));
       certify(it == options.max_iterations);
@@ -514,7 +515,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   solves.add();
   iterations.add(static_cast<std::uint64_t>(result.iterations));
   (result.converged ? converged : non_converged).add();
-  solve_trace.set_arg(static_cast<std::uint64_t>(result.iterations));
+  stage.set_arg(static_cast<std::uint64_t>(result.iterations));
   return result;
 }
 

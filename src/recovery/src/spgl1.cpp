@@ -6,7 +6,6 @@
 
 #include "csecg/common/check.hpp"
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
 #include "csecg/obs/trace.hpp"
 
 namespace csecg::recovery {
@@ -53,9 +52,8 @@ Spgl1Result solve_bpdn_spgl1(const linalg::LinearOperator& a,
                              const linalg::Vector& y, double sigma,
                              const Spgl1Options& options) {
   static obs::Histogram& solve_hist = obs::histogram("solver.spgl1.solve_ns");
-  const obs::Span solve_span(solve_hist);
-  obs::TraceScope solve_trace("solver.spgl1.solve", "solver",
-                              "inner_iterations");
+  obs::Stage stage("solver.spgl1.solve", "solver", &solve_hist,
+                   "inner_iterations");
   validate(options);
   CSECG_CHECK(y.size() == a.rows(), "solve_bpdn_spgl1: y dimension mismatch");
   CSECG_CHECK(sigma >= 0.0, "solve_bpdn_spgl1: sigma must be non-negative");
@@ -143,8 +141,7 @@ Spgl1Result solve_bpdn_spgl1(const linalg::LinearOperator& a,
   inner_iterations.add(
       static_cast<std::uint64_t>(result.total_inner_iterations));
   (result.converged ? converged : non_converged).add();
-  solve_trace.set_arg(
-      static_cast<std::uint64_t>(result.total_inner_iterations));
+  stage.set_arg(static_cast<std::uint64_t>(result.total_inner_iterations));
   return result;
 }
 

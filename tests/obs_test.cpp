@@ -1,6 +1,6 @@
-// Tests for csecg::obs — counter/gauge/histogram semantics, per-thread
-// histogram sharding under real contention, the enabled() gate, and the
-// structure of the JSON snapshot the experiment binaries export.
+// Tests for csecg::obs — counter/histogram semantics, per-thread histogram
+// sharding under real contention, the enabled() gate, and the structure of
+// the JSON snapshot the experiment binaries export.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "csecg/obs/registry.hpp"
-#include "csecg/obs/span.hpp"
+#include "csecg/obs/trace.hpp"
 #include "csecg/parallel/thread_pool.hpp"
 
 namespace csecg::obs {
@@ -43,16 +43,6 @@ TEST(ObsCounter, LookupIsFindOrCreateWithStableReferences) {
   Counter& b = reg.counter("same.name");
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(b.value(), 7u);
-}
-
-TEST(ObsGauge, LastValueWins) {
-  Registry reg;
-  Gauge& g = reg.gauge("test.level");
-  g.set(1.5);
-  g.set(-3.25);
-  EXPECT_DOUBLE_EQ(g.value(), -3.25);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(ObsHistogram, BucketsCountSumMax) {
@@ -136,8 +126,8 @@ TEST(ObsEnabled, GateSilencesHistogramsButNotCounters) {
   c.add();
   h.record(123);
   {
-    Span span(h);  // Reads no clock while disabled.
-    EXPECT_EQ(span.stop(), 0u);
+    Stage stage("gate.stage", "test", &h);  // Reads no clock while dark.
+    EXPECT_EQ(stage.stop(), 0u);
   }
   set_enabled(true);
   EXPECT_EQ(c.value(), 1u);          // Counters are never gated.
@@ -146,17 +136,17 @@ TEST(ObsEnabled, GateSilencesHistogramsButNotCounters) {
   EXPECT_EQ(h.snapshot().count, 1u);
 }
 
-TEST(ObsSpan, RecordsLifetimeOnceAndStopDisarms) {
+TEST(ObsStage, RecordsLifetimeOnceAndStopDisarms) {
   Registry reg;
-  Histogram& h = reg.histogram("span.hist_ns");
+  Histogram& h = reg.histogram("stage.hist_ns");
   {
-    Span span(h);
+    const Stage stage("obs_test.stage", "test", &h);
   }
   EXPECT_EQ(h.snapshot().count, 1u);
   {
-    Span span(h);
-    span.stop();
-    EXPECT_EQ(span.stop(), 0u);  // Second stop is a no-op.
+    Stage stage("obs_test.stage", "test", &h);
+    stage.stop();
+    EXPECT_EQ(stage.stop(), 0u);  // Second stop is a no-op.
   }  // Destructor must not double-record.
   EXPECT_EQ(h.snapshot().count, 2u);
 }
@@ -164,16 +154,14 @@ TEST(ObsSpan, RecordsLifetimeOnceAndStopDisarms) {
 TEST(ObsSnapshot, JsonContainsEveryMetricWithExpectedShape) {
   Registry reg;
   reg.counter("alpha.events").add(3);
-  reg.gauge("beta.level").set(2.5);
   reg.histogram("gamma.time_ns").record(100);
   const std::string json = reg.snapshot_json();
   // Top-level sections.
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
   // Metric payloads (compact form, no whitespace).
   EXPECT_NE(json.find("\"alpha.events\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"beta.level\":2.5"), std::string::npos);
   EXPECT_NE(json.find("\"gamma.time_ns\""), std::string::npos);
   for (const char* field : {"\"count\"", "\"sum\"", "\"max\"", "\"mean\"",
                             "\"p50\"", "\"p90\"", "\"p99\""}) {
@@ -313,12 +301,13 @@ TEST(ObsSnapshot, JsonDoublesIgnoreCommaDecimalLocale) {
   }
 
   Registry reg;
-  reg.gauge("locale.check").set(2.5);
-  reg.histogram("locale.hist_ns").record(3);
+  Histogram& h = reg.histogram("locale.hist_ns");
+  h.record(2);
+  h.record(3);
   const std::string json = reg.snapshot_json();
   std::setlocale(LC_NUMERIC, saved.c_str());
 
-  EXPECT_NE(json.find("\"locale.check\":2.5"), std::string::npos)
+  EXPECT_NE(json.find("\"mean\":2.5"), std::string::npos)
       << "under " << comma_locale << ": " << json;
   EXPECT_EQ(json.find("2,5"), std::string::npos);
 }

@@ -153,9 +153,6 @@ TEST(Pdhg, OptionsValidation) {
   bad = PdhgOptions{};
   bad.tol = 0.0;  // A relative duality gap of zero is never certified.
   EXPECT_THROW(validate(bad), std::invalid_argument);
-  bad = PdhgOptions{};
-  bad.step_safety = 1.0;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
 }
 
 TEST(Pdhg, DimensionValidation) {

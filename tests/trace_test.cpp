@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,8 +65,8 @@ void expect_balanced_json(const std::string& json) {
 TEST_F(TraceTest, ScopeEmitsCompleteEventWithArg) {
   obs::set_trace_enabled(true);
   {
-    obs::TraceScope scope("trace_test.scope", "test", "items");
-    scope.set_arg(42);
+    obs::Stage stage("trace_test.scope", "test", nullptr, "items");
+    stage.set_arg(42);
   }
   EXPECT_GE(obs::trace_event_count(), 1u);
   const std::string json = obs::trace_json();
@@ -80,12 +81,51 @@ TEST_F(TraceTest, ScopeEmitsCompleteEventWithArg) {
 TEST_F(TraceTest, DisabledScopeRecordsNothingAndReadsNoClock) {
   ASSERT_FALSE(obs::trace_enabled());
   {
-    obs::TraceScope scope("trace_test.dark", "test");
+    obs::Stage stage("trace_test.dark", "test");
     obs::trace_instant("trace_test.dark_instant", "test");
+    EXPECT_EQ(stage.stop(), 0u);  // No sink and no trace: no clock read.
   }
   EXPECT_EQ(obs::trace_event_count(), 0u);
   const std::string json = obs::trace_json();
   EXPECT_EQ(json.find("trace_test.dark"), std::string::npos);
+}
+
+TEST_F(TraceTest, StageFeedsBothSinksFromOneClockPair) {
+  for (const bool obs_on : {false, true}) {
+    for (const bool trace_on : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "obs " << obs_on << ", trace "
+                                      << trace_on);
+      obs::Registry reg;
+      obs::Histogram& h = reg.histogram("trace_test.stage_ns");
+      obs::trace_reset();
+      obs::set_enabled(obs_on);
+      obs::set_trace_enabled(trace_on);
+      obs::Stage stage("trace_test.stage", "test", &h, "items", 7);
+      const std::uint64_t elapsed = stage.stop();
+      obs::set_enabled(true);
+      obs::set_trace_enabled(false);
+
+      const obs::Histogram::Snapshot snap = h.snapshot();
+      EXPECT_EQ(snap.count, obs_on ? 1u : 0u);
+      EXPECT_EQ(obs::trace_event_count(), trace_on ? 1u : 0u);
+      if (!obs_on && !trace_on) {
+        EXPECT_EQ(elapsed, 0u);
+      }
+      if (obs_on) {
+        EXPECT_EQ(snap.sum, elapsed);
+      }
+      if (!(obs_on && trace_on)) continue;
+
+      // The event's duration (µs) is the histogram's one sample (ns).
+      const std::string json = obs::trace_json();
+      EXPECT_NE(json.find("\"args\":{\"items\":7}"), std::string::npos);
+      const std::size_t at = json.find("\"dur\":");
+      ASSERT_NE(at, std::string::npos);
+      const double dur_us = std::strtod(json.c_str() + at + 6, nullptr);
+      EXPECT_EQ(std::llround(dur_us * 1000.0),
+                static_cast<long long>(snap.sum));
+    }
+  }
 }
 
 TEST_F(TraceTest, InstantEventsCarryScopeMarker) {
@@ -337,30 +377,31 @@ TEST_F(TraceTest, LedgerDiffSnrToleranceGatesQualityNotBits) {
             2);
 }
 
-TEST_F(TraceTest, SnapshotGaugesRepeatAcrossPooledRuns) {
-  // No gauge may depend on which pool worker finishes last: two identical
-  // pooled runs, and a serial one, leave the same "gauges" block.
+TEST_F(TraceTest, SnapshotCountersRepeatAcrossPooledRuns) {
+  // No counter may depend on which pool worker finishes last: two
+  // identical pooled runs, and a serial one, leave the same "counters"
+  // block.
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 20.0;
   const ecg::SyntheticDatabase database(record_config, 2015);
   const core::FrontEndConfig config = small_config();
   const core::Codec codec(config,
                           core::train_lowres_codec(config, database, 2, 2));
-  const auto gauges_after = [&](std::size_t threads) {
+  const auto counters_after = [&](std::size_t threads) {
     parallel::ThreadPool pool(threads);
     obs::Registry::global().reset();
     (void)core::run_database(codec, database, 2, 4, core::DecodeMode::kAuto,
                              pool);
     const std::string json = obs::snapshot_json();
-    const std::size_t begin = json.find("\"gauges\":");
+    const std::size_t begin = json.find("\"counters\":");
     const std::size_t end = json.find(",\"histograms\":");
     EXPECT_NE(begin, std::string::npos);
     EXPECT_NE(end, std::string::npos);
     return json.substr(begin, end - begin);
   };
-  const std::string first = gauges_after(4);
-  EXPECT_EQ(gauges_after(4), first);
-  EXPECT_EQ(gauges_after(1), first);
+  const std::string first = counters_after(4);
+  EXPECT_EQ(counters_after(4), first);
+  EXPECT_EQ(counters_after(1), first);
 }
 
 TEST_F(TraceTest, LedgerDisabledRecordsNoRows) {
