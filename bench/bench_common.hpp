@@ -8,10 +8,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "csecg/core/frontend.hpp"
 #include "csecg/ecg/record.hpp"
+#include "csecg/obs/json.hpp"
 
 namespace csecg::bench {
 
@@ -43,6 +46,65 @@ inline const std::vector<double>& fig7_cr_grid() {
   static const std::vector<double> grid = {50.0, 56.0, 62.0, 69.0, 75.0,
                                            81.0, 88.0, 94.0, 97.0};
   return grid;
+}
+
+/// The CPU model named in /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos &&
+        colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// The first line a shell command prints, without its newline ("" if none).
+inline std::string first_output_line(const std::string& command) {
+  std::string line;
+  if (std::FILE* pipe = popen(command.c_str(), "r")) {
+    char buffer[256];
+    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) line = buffer;
+    pclose(pipe);
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+/// The source tree's git HEAD when the bench runs, suffixed "-dirty" when
+/// tracked files differ from it; "unknown" outside a git checkout.
+inline std::string source_commit() {
+  const std::string git = "git -C '" CSECG_SOURCE_DIR "' ";
+  std::string commit = first_output_line(git + "rev-parse HEAD 2>/dev/null");
+  if (commit.empty()) return "unknown";
+  if (!first_output_line(git +
+                         "status --porcelain --untracked-files=no 2>/dev/null")
+           .empty()) {
+    commit += "-dirty";
+  }
+  return commit;
+}
+
+/// Writes the "host" and "commit" members, each line ending in a comma,
+/// into the open top-level object of a BENCH_*.json: a number is only
+/// comparable with others from the same host and source.
+inline void write_provenance(std::FILE* json) {
+  std::string out = "  \"host\": {\"nproc\": ";
+  obs::append_json_u64(out, std::thread::hardware_concurrency());
+  out += ", \"cpu\": ";
+  obs::append_json_string(out, cpu_model());
+  out += ", \"compiler\": ";
+  obs::append_json_string(out, CSECG_COMPILER);
+  out += ", \"build_type\": ";
+  obs::append_json_string(out, CSECG_BUILD_TYPE);
+  out += "},\n  \"commit\": ";
+  obs::append_json_string(out, source_commit());
+  out += ",\n";
+  std::fputs(out.c_str(), json);
 }
 
 inline void print_header(const char* experiment, const char* paper_ref) {

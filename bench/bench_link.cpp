@@ -153,6 +153,7 @@ int main() {
   }
   std::fprintf(json, "{\n");
   std::fprintf(json, "  \"bench\": \"link\",\n");
+  bench::write_provenance(json);
   std::fprintf(json,
                "  \"workload\": {\"records\": %zu, \"windows_per_record\": "
                "%zu, \"window\": %zu, \"measurements\": %zu, \"threads\": "

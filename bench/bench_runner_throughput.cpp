@@ -100,6 +100,7 @@ int main() {
   }
   std::fprintf(json, "{\n");
   std::fprintf(json, "  \"bench\": \"runner_throughput\",\n");
+  bench::write_provenance(json);
   std::fprintf(json,
                "  \"workload\": {\"records\": %zu, \"windows_per_record\": "
                "%zu, \"window\": %zu, \"measurements\": %zu},\n",

@@ -1,7 +1,7 @@
 // Instrumentation, tracing and ledger overhead tracker.
 //
-// Three interleaved arms over the run_database workload (one worker, so
-// per-window cost is not hidden behind thread scheduling noise):
+// Three arms over the run_database workload (one worker, so per-window
+// cost is not hidden behind thread scheduling noise):
 //
 //   dark     obs off, trace off, ledger off — the floor.
 //   default  obs on (the shipping default), trace + ledger off.  The gated
@@ -15,10 +15,23 @@
 //            timeline and a quality ledger.  Reported for the record, not
 //            gated: rings fill and the arm pays for JSON-able strings.
 //
+// Each rep runs all three arms back to back, in the order dark, default,
+// tracing on even reps and reversed on odd ones, so drift in host load
+// favours neither side of a pair.  The reported overhead is the median
+// over kReps reps of each rep's paired arm/dark time ratio.  On a shared
+// host one arm's time moves by 10–20% with neighbour load within a second,
+// so the pairs are many and close in time: an arm repeats the window set
+// only until it lasts kMinArmSeconds (one pass at the default 8 × 2
+// windows, two at 4 × 2).  Arms of 0.25 s spread the result wider, not
+// narrower.
+//
 // Results land in BENCH_trace.json.
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "csecg/core/runner.hpp"
@@ -32,18 +45,38 @@ namespace {
 using namespace csecg;
 using Clock = std::chrono::steady_clock;
 
+constexpr int kReps = 61;
+constexpr double kMinArmSeconds = 0.04;
+
+struct Arm {
+  const char* name;
+  bool obs_on;
+  bool trace_on;
+  bool ledger_on;
+};
+constexpr std::array<Arm, 3> kArms = {{{"dark", false, false, false},
+                                       {"default", true, false, false},
+                                       {"tracing", true, true, true}}};
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-void arm(bool obs_on, bool trace_on, bool ledger_on) {
-  obs::set_enabled(obs_on);
-  obs::set_trace_enabled(trace_on);
-  obs::set_ledger_enabled(ledger_on);
-  // Start each rep from empty buffers: a full ring silently stops costing
+void arm(const Arm& a) {
+  obs::set_enabled(a.obs_on);
+  obs::set_trace_enabled(a.trace_on);
+  obs::set_ledger_enabled(a.ledger_on);
+  // Start each arm from empty buffers: a full ring silently stops costing
   // anything, which would flatter the tracing arm.
   obs::trace_reset();
   obs::ledger_reset();
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 }  // namespace
@@ -62,61 +95,61 @@ int main() {
   const std::size_t total_windows = records * windows;
   parallel::ThreadPool pool(1);  // Serial: per-window cost is not hidden
                                  // behind thread scheduling noise.
+  const auto run_once = [&] {
+    (void)core::run_database(codec, database, records, windows,
+                             core::DecodeMode::kAuto, pool);
+  };
 
+  // Warm up (records, caches), then size the arms from one timed pass.
   for (std::size_t r = 0; r < records; ++r) (void)database.record(r);
-  arm(true, false, false);
-  (void)core::run_database(codec, database, records, windows,
-                           core::DecodeMode::kAuto, pool);
+  arm(kArms[1]);
+  run_once();
+  const auto calibrate = Clock::now();
+  run_once();
+  const double pass_seconds = seconds_since(calibrate);
+  const int passes =
+      std::max(1, static_cast<int>(std::ceil(kMinArmSeconds / pass_seconds)));
 
-  constexpr int kReps = 9;
-  double dark_best = 1e300;
-  double default_best = 1e300;
-  double tracing_best = 1e300;
-  // Machine-load drift across ~second-scale reps dwarfs a 2% effect.
-  // Load only ever adds time, so best-of-reps approximates each arm's
-  // unloaded floor and the best-of ratio is the real overhead.
-  std::printf("arm,rep,seconds,windows_per_sec\n");
+  // seconds[a][rep]: one pass of arm a, averaged over the arm's passes.
+  std::array<std::vector<double>, kArms.size()> seconds;
+  std::printf("arm,rep,seconds_per_pass,windows_per_sec\n");
   for (int rep = 0; rep < kReps; ++rep) {
-    arm(false, false, false);
-    auto start = Clock::now();
-    (void)core::run_database(codec, database, records, windows,
-                             core::DecodeMode::kAuto, pool);
-    const double dark_seconds = seconds_since(start);
-    dark_best = std::min(dark_best, dark_seconds);
-    std::printf("dark,%d,%.4f,%.2f\n", rep, dark_seconds,
-                static_cast<double>(total_windows) / dark_seconds);
-
-    arm(true, false, false);
-    start = Clock::now();
-    (void)core::run_database(codec, database, records, windows,
-                             core::DecodeMode::kAuto, pool);
-    const double default_seconds = seconds_since(start);
-    default_best = std::min(default_best, default_seconds);
-    std::printf("default,%d,%.4f,%.2f\n", rep, default_seconds,
-                static_cast<double>(total_windows) / default_seconds);
-
-    arm(true, true, true);
-    start = Clock::now();
-    (void)core::run_database(codec, database, records, windows,
-                             core::DecodeMode::kAuto, pool);
-    const double tracing_seconds = seconds_since(start);
-    tracing_best = std::min(tracing_best, tracing_seconds);
-    std::printf("tracing,%d,%.4f,%.2f\n", rep, tracing_seconds,
-                static_cast<double>(total_windows) / tracing_seconds);
+    for (std::size_t k = 0; k < kArms.size(); ++k) {
+      const std::size_t a = rep % 2 == 0 ? k : kArms.size() - 1 - k;
+      arm(kArms[a]);
+      const auto start = Clock::now();
+      for (int p = 0; p < passes; ++p) run_once();
+      const double per_pass = seconds_since(start) / passes;
+      seconds[a].push_back(per_pass);
+      std::printf("%s,%d,%.5f,%.2f\n", kArms[a].name, rep, per_pass,
+                  static_cast<double>(total_windows) / per_pass);
+    }
   }
-  arm(true, false, false);  // Leave the process in the shipping default.
+  arm(kArms[1]);  // Leave the process in the shipping default.
 
-  const double dark_wps = static_cast<double>(total_windows) / dark_best;
-  const double default_wps = static_cast<double>(total_windows) / default_best;
-  const double tracing_wps = static_cast<double>(total_windows) / tracing_best;
-  const double default_overhead = (default_best / dark_best - 1.0) * 100.0;
-  const double tracing_overhead = (tracing_best / dark_best - 1.0) * 100.0;
-  std::printf("# dark:    %.2f windows/s\n", dark_wps);
-  std::printf("# default: %.2f windows/s (%.2f%% over dark; "
+  // Median over reps of the paired ratio to the same rep's dark arm.
+  std::array<double, kArms.size()> overhead{};
+  std::array<double, kArms.size()> median_seconds{};
+  for (std::size_t a = 0; a < kArms.size(); ++a) {
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kReps; ++rep) {
+      ratios.push_back(seconds[a][rep] / seconds[0][rep]);
+    }
+    overhead[a] = (median(ratios) - 1.0) * 100.0;
+    median_seconds[a] = median(seconds[a]);
+  }
+  const auto wps = [&](std::size_t a) {
+    return static_cast<double>(total_windows) / median_seconds[a];
+  };
+  std::printf("# %d reps x 3 arms x %d passes of %zu windows\n", kReps,
+              passes, total_windows);
+  std::printf("# dark:    %.2f windows/s\n", wps(0));
+  std::printf("# default: %.2f windows/s (median paired overhead %.2f%%; "
               "target < 2%%, CI gate 5%%)\n",
-              default_wps, default_overhead);
-  std::printf("# tracing: %.2f windows/s (%.2f%% over dark; informational)\n",
-              tracing_wps, tracing_overhead);
+              wps(1), overhead[1]);
+  std::printf("# tracing: %.2f windows/s (median paired overhead %.2f%%; "
+              "informational)\n",
+              wps(2), overhead[2]);
 
   std::FILE* json = std::fopen("BENCH_trace.json", "w");
   if (json == nullptr) {
@@ -125,30 +158,26 @@ int main() {
   }
   std::fprintf(json, "{\n");
   std::fprintf(json, "  \"bench\": \"trace_overhead\",\n");
+  bench::write_provenance(json);
   std::fprintf(json,
                "  \"workload\": {\"records\": %zu, \"windows_per_record\": "
-               "%zu, \"window\": %zu, \"measurements\": %zu, \"reps\": %d},\n",
-               records, windows, config.window, config.measurements, kReps);
-  std::fprintf(json,
-               "  \"dark\": {\"best_seconds\": %.4f, "
-               "\"windows_per_sec\": %.3f},\n",
-               dark_best, dark_wps);
-  std::fprintf(json,
-               "  \"default\": {\"best_seconds\": %.4f, "
-               "\"windows_per_sec\": %.3f},\n",
-               default_best, default_wps);
-  std::fprintf(json,
-               "  \"tracing\": {\"best_seconds\": %.4f, "
-               "\"windows_per_sec\": %.3f},\n",
-               tracing_best, tracing_wps);
-  std::fprintf(json, "  \"overhead_percent\": %.3f,\n", default_overhead);
-  std::fprintf(json, "  \"tracing_overhead_percent\": %.3f,\n",
-               tracing_overhead);
+               "%zu, \"window\": %zu, \"measurements\": %zu, \"reps\": %d, "
+               "\"passes_per_arm\": %d},\n",
+               records, windows, config.window, config.measurements, kReps,
+               passes);
+  for (std::size_t a = 0; a < kArms.size(); ++a) {
+    std::fprintf(json,
+                 "  \"%s\": {\"median_seconds_per_pass\": %.5f, "
+                 "\"windows_per_sec\": %.3f},\n",
+                 kArms[a].name, median_seconds[a], wps(a));
+  }
+  std::fprintf(json, "  \"overhead_percent\": %.3f,\n", overhead[1]);
+  std::fprintf(json, "  \"tracing_overhead_percent\": %.3f,\n", overhead[2]);
   std::fprintf(json, "  \"target_percent\": 2.0,\n");
   std::fprintf(json, "  \"gate_percent\": 5.0\n");
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("# wrote BENCH_trace.json\n");
 
-  return default_overhead < 5.0 ? 0 : 2;
+  return overhead[1] < 5.0 ? 0 : 2;
 }

@@ -1,5 +1,5 @@
 // Per-window quality ledger: one structured JSONL row per decoded window,
-// buffered per thread and merged in deterministic sequence order.
+// exported in deterministic sequence order.
 //
 // The experiment runner (core::run_windows, behind core::run_record and
 // link::run_link_record) appends one row per window keyed by the window's
@@ -16,10 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace csecg::obs {
@@ -30,14 +30,12 @@ bool ledger_enabled() noexcept;
 /// Enables/disables ledger recording process-wide.
 void set_ledger_enabled(bool on) noexcept;
 
-/// A sequence-keyed collection of JSONL rows with per-thread append
-/// buffers.  Each appending thread owns a private buffer (its mutex is
-/// uncontended on the append path); buffers are gathered and sorted only
-/// at export time.
+/// A sequence-keyed collection of JSONL rows.  Appends take one mutex
+/// (the runner appends at most one row per window, too few to contend);
+/// rows are sorted only at export time.
 class Ledger {
  public:
-  Ledger();
-  ~Ledger();  // Out-of-line: Buffer is incomplete here.
+  Ledger() = default;
   Ledger(const Ledger&) = delete;
   Ledger& operator=(const Ledger&) = delete;
 
@@ -55,19 +53,15 @@ class Ledger {
   /// Rows currently buffered.
   std::size_t size() const;
 
-  /// Drops every buffered row (thread buffers stay registered).
+  /// Drops every buffered row.
   void reset();
 
   /// The process-wide ledger the runner writes to.
   static Ledger& global();
 
  private:
-  struct Buffer;
-  Buffer& local_buffer();
-
-  const std::size_t id_;  ///< Process-unique, indexes the thread-local cache.
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  std::vector<std::pair<std::uint64_t, std::string>> rows_;
 };
 
 /// Ledger::global().jsonl().

@@ -1,11 +1,10 @@
 // Lightweight observability: named atomic counters and lock-free
-// per-thread histograms, scraped into a structured JSON snapshot.
+// histograms, scraped into a structured JSON snapshot.
 //
 // Design constraints (see DESIGN.md "Observability"):
 //  * The hot path stays allocation-free (PR 1 contract).  Counter::add and
-//    Histogram::record are relaxed atomic writes into thread-private
-//    storage; the only locks are taken at registration time (first use of
-//    a name, first record from a new thread) and at scrape time.
+//    Histogram::record are relaxed atomic writes; the only locks are taken
+//    at registration time (first use of a name) and at scrape time.
 //  * Instrumented code caches references: `static obs::Counter& c =
 //    obs::counter("solver.pdhg.solves");` — the name lookup happens once.
 //  * Timing can be switched off globally (obs::set_enabled(false)): stages
@@ -23,11 +22,9 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace csecg::obs {
 
@@ -57,24 +54,23 @@ class Counter {
 };
 
 /// Log2-bucketed histogram of non-negative integer samples (typically
-/// durations in nanoseconds).  Each recording thread writes its own shard
-/// (relaxed atomics, no sharing), and shards are merged on scrape — so
-/// record() is lock-free and allocation-free after the first call from a
-/// given thread.
+/// durations in nanoseconds).  Every recording thread writes the same
+/// relaxed atomics: stages record a few samples per window, too few to
+/// contend, so record() is lock-free and allocation-free from the first
+/// call on any thread.
 class Histogram {
  public:
   /// Bucket b counts samples in [2^(b-1), 2^b); bucket 0 counts zeros.
   static constexpr std::size_t kBuckets = 64;
 
-  Histogram();
-  ~Histogram();  // Out-of-line: Shard is incomplete here.
+  Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
   /// Records one sample.  No-op while obs::enabled() is false.
   void record(std::uint64_t value) noexcept;
 
-  /// Merged view of every shard.
+  /// A plain copy of the totals.
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -92,16 +88,14 @@ class Histogram {
 
   Snapshot snapshot() const;
 
-  /// Zeroes every shard (scrape-side; racing record() calls may survive).
+  /// Zeroes the totals (scrape-side; racing record() calls may survive).
   void reset() noexcept;
 
  private:
-  struct Shard;
-  Shard& local_shard();
-
-  const std::size_t id_;  ///< Process-unique, indexes the thread-local cache.
-  mutable std::mutex shards_mutex_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> max_{0};
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
 /// A named set of counters and histograms.  Lookup is find-or-
@@ -133,7 +127,7 @@ class Registry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 /// Convenience accessors on the global registry.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <optional>
@@ -13,28 +12,15 @@
 #include <tuple>
 #include <utility>
 
+#include "env.hpp"
+
 namespace csecg::obs {
 namespace {
-
-bool env_truthy(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string_view value(env);
-  return !(value.empty() || value == "0" || value == "false" ||
-           value == "off");
-}
 
 std::atomic<bool>& ledger_flag() {
   static std::atomic<bool> flag{env_truthy("CSECG_LEDGER")};
   return flag;
 }
-
-/// Process-unique ledger ids, mirroring the histogram shard scheme: a
-/// stale thread-local buffer pointer left by a destroyed ledger can never
-/// be read back because ids are never reused.
-std::atomic<std::size_t> g_next_ledger_id{0};
-
-thread_local std::vector<void*> t_buffers;
 
 }  // namespace
 
@@ -46,50 +32,20 @@ void set_ledger_enabled(bool on) noexcept {
   ledger_flag().store(on, std::memory_order_relaxed);
 }
 
-struct Ledger::Buffer {
-  std::mutex mutex;  ///< Uncontended on append (single owning writer);
-                     ///< taken by the exporter at gather time.
-  std::vector<std::pair<std::uint64_t, std::string>> rows;
-};
-
-Ledger::Ledger()
-    : id_(g_next_ledger_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-Ledger::~Ledger() = default;
-
-Ledger::Buffer& Ledger::local_buffer() {
-  if (id_ < t_buffers.size() && t_buffers[id_] != nullptr) {
-    return *static_cast<Buffer*>(t_buffers[id_]);
-  }
-  auto owned = std::make_unique<Buffer>();
-  Buffer* buffer = owned.get();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.push_back(std::move(owned));
-  }
-  if (t_buffers.size() <= id_) t_buffers.resize(id_ + 1, nullptr);
-  t_buffers[id_] = buffer;
-  return *buffer;
-}
-
 void Ledger::append(std::uint64_t seq, std::string row) {
-  Buffer& buffer = local_buffer();
-  const std::lock_guard<std::mutex> lock(buffer.mutex);
-  buffer.rows.emplace_back(seq, std::move(row));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  rows_.emplace_back(seq, std::move(row));
 }
 
 std::string Ledger::jsonl() const {
-  std::vector<std::pair<std::uint64_t, std::string>> merged;
+  std::vector<std::pair<std::uint64_t, std::string>> sorted;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& buffer : buffers_) {
-      const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-      merged.insert(merged.end(), buffer->rows.begin(), buffer->rows.end());
-    }
+    sorted = rows_;
   }
-  std::sort(merged.begin(), merged.end());
+  std::sort(sorted.begin(), sorted.end());
   std::string out;
-  for (const auto& [seq, row] : merged) {
+  for (const auto& [seq, row] : sorted) {
     out += row;
     out += '\n';
   }
@@ -98,20 +54,12 @@ std::string Ledger::jsonl() const {
 
 std::size_t Ledger::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& buffer : buffers_) {
-    const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    total += buffer->rows.size();
-  }
-  return total;
+  return rows_.size();
 }
 
 void Ledger::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buffer : buffers_) {
-    const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    buffer->rows.clear();
-  }
+  rows_.clear();
 }
 
 Ledger& Ledger::global() {

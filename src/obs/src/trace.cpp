@@ -4,23 +4,15 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <vector>
 
 #include "csecg/obs/json.hpp"
+#include "env.hpp"
 
 namespace csecg::obs {
 namespace {
 
 constexpr std::size_t kDefaultTraceCapacity = 65536;
-
-bool env_truthy(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  const std::string_view value(env);
-  return !(value.empty() || value == "0" || value == "false" ||
-           value == "off");
-}
 
 std::atomic<bool>& trace_flag() {
   static std::atomic<bool> flag{env_truthy("CSECG_TRACE")};

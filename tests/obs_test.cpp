@@ -100,8 +100,8 @@ TEST(ObsHistogram, MergesShardsAcrossThreads) {
 }
 
 TEST(ObsHistogram, RecordFromPoolThreadsAfterReset) {
-  // The thread-local shard cache is keyed by process-unique histogram ids;
-  // pool threads that recorded before a reset() must keep working after.
+  // Pool threads share the histogram's storage; those that recorded
+  // before a reset() must keep counting after it.
   Registry reg;
   Histogram& h = reg.histogram("test.pool_ns");
   parallel::ThreadPool pool(4);
