@@ -6,11 +6,13 @@
 //   CSECG_WINDOWS  — analysis windows per record (default 1)
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "csecg/core/frontend.hpp"
 #include "csecg/ecg/record.hpp"
@@ -27,7 +29,10 @@ inline std::size_t env_or(const char* name, std::size_t fallback,
   return std::min(static_cast<std::size_t>(parsed), max_value);
 }
 
-inline std::size_t records_budget() { return env_or("CSECG_RECORDS", 8, 48); }
+/// CSECG_RECORDS, or `fallback` when it is unset (or not a positive count).
+inline std::size_t records_budget(std::size_t fallback = 8) {
+  return env_or("CSECG_RECORDS", fallback, 48);
+}
 inline std::size_t windows_budget() { return env_or("CSECG_WINDOWS", 1, 64); }
 
 /// The database every bench evaluates on: 60-second surrogate records,
@@ -39,6 +44,14 @@ inline const ecg::SyntheticDatabase& shared_database() {
     return ecg::SyntheticDatabase(config, 2015);
   }();
   return database;
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+inline double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 /// The paper's Fig. 7 CR grid (percent).
@@ -107,12 +120,14 @@ inline void write_provenance(std::FILE* json) {
   std::fputs(out.c_str(), json);
 }
 
-inline void print_header(const char* experiment, const char* paper_ref) {
+/// Prints the bench header; `records` is the record count the bench runs.
+inline void print_header(const char* experiment, const char* paper_ref,
+                         std::size_t records = records_budget()) {
   std::printf("# %s\n", experiment);
   std::printf("# reproduces: %s\n", paper_ref);
   std::printf("# workload: %zu records x %zu windows (CSECG_RECORDS / "
               "CSECG_WINDOWS to rescale)\n",
-              records_budget(), windows_budget());
+              records, windows_budget());
 }
 
 }  // namespace csecg::bench

@@ -61,20 +61,15 @@ struct ArqRow {
 }  // namespace
 
 int main() {
-  bench::print_header("bench_link",
-                      "ISSUE 2 — telemetry link loss/energy trade-off");
-
   const auto& database = bench::shared_database();
-  const core::FrontEndConfig config = bench_config();
-  const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
-
   // The acceptance bar runs every record: all 48 must complete at every
   // loss rate.  CSECG_RECORDS can shrink this for quick local runs.
-  const std::size_t records =
-      std::min<std::size_t>(bench::records_budget() == 8
-                                ? database.size()
-                                : bench::records_budget(),
-                            database.size());
+  const std::size_t records = bench::records_budget(database.size());
+  bench::print_header("bench_link", "telemetry link loss/energy trade-off",
+                      records);
+
+  const core::FrontEndConfig config = bench_config();
+  const auto lowres_codec = core::train_lowres_codec(config, database, 3, 3);
   const std::size_t windows = bench::windows_budget();
   parallel::ThreadPool pool;
 

@@ -2,11 +2,18 @@
 //
 // Measures end-to-end run_database decode throughput (windows/sec) at 1
 // and CSECG_THREADS threads and verifies the determinism guarantee
-// (1-thread vs N-thread reports are bit-identical).  Results land in
-// BENCH_runner.json.
+// (1-thread vs N-thread reports are bit-identical).  One pass of an arm
+// lasts only 20–60 ms, and on a shared host its time moves by 10–20% with
+// neighbour load, so the arms run in kReps pairs, serial first on even
+// reps and threaded first on odd ones.  The reported speedup is the median
+// over the pairs of each pair's serial/threaded time ratio, and each arm's
+// throughput comes from its median pass.  Every pass is checked against
+// the first serial one.  Results land in BENCH_runner.json.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "csecg/core/runner.hpp"
@@ -16,6 +23,8 @@ namespace {
 
 using namespace csecg;
 using Clock = std::chrono::steady_clock;
+
+constexpr int kReps = 31;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -63,33 +72,50 @@ int main() {
                                        ? parallel::default_thread_count()
                                        : 4;
 
-  // Warm the record cache so generation cost is excluded from every arm.
+  // Warm the record cache so generation cost is excluded from every arm;
+  // the warm-up pass is the reference every timed pass must match.
   for (std::size_t r = 0; r < records; ++r) (void)database.record(r);
-
-  std::printf("path,threads,seconds,windows_per_sec\n");
-
   parallel::ThreadPool serial_pool(1);
-  auto start = Clock::now();
-  const auto serial_reports = core::run_database(
-      codec, database, records, windows, core::DecodeMode::kAuto,
-      serial_pool);
-  const double serial_seconds = seconds_since(start);
+  parallel::ThreadPool threaded_pool(thread_count);
+  const std::array<parallel::ThreadPool*, 2> pools = {&serial_pool,
+                                                      &threaded_pool};
+  const auto run = [&](parallel::ThreadPool& pool) {
+    return core::run_database(codec, database, records, windows,
+                              core::DecodeMode::kAuto, pool);
+  };
+  const auto reference = run(serial_pool);
+
+  // seconds[a][rep]: one pass of arm a (0 serial, 1 threaded).
+  std::array<std::vector<double>, 2> seconds;
+  bool identical = true;
+  std::printf("path,rep,threads,seconds,windows_per_sec\n");
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t k = 0; k < pools.size(); ++k) {
+      const std::size_t a = rep % 2 == 0 ? k : pools.size() - 1 - k;
+      const auto start = Clock::now();
+      const auto reports = run(*pools[a]);
+      const double pass = seconds_since(start);
+      identical = identical && reports_bit_identical(reference, reports);
+      seconds[a].push_back(pass);
+      std::printf("optimized,%d,%zu,%.4f,%.2f\n", rep,
+                  pools[a]->threads(), pass,
+                  static_cast<double>(total_windows) / pass);
+    }
+  }
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kReps; ++rep) {
+    ratios.push_back(seconds[0][rep] / seconds[1][rep]);
+  }
+  const double speedup = bench::median(ratios);
+  const double serial_seconds = bench::median(seconds[0]);
+  const double threaded_seconds = bench::median(seconds[1]);
   const double serial_wps =
       static_cast<double>(total_windows) / serial_seconds;
-  std::printf("optimized,1,%.3f,%.2f\n", serial_seconds, serial_wps);
-
-  parallel::ThreadPool pool(thread_count);
-  start = Clock::now();
-  const auto threaded_reports = core::run_database(
-      codec, database, records, windows, core::DecodeMode::kAuto, pool);
-  const double threaded_seconds = seconds_since(start);
   const double threaded_wps =
       static_cast<double>(total_windows) / threaded_seconds;
-  std::printf("optimized,%zu,%.3f,%.2f\n", thread_count, threaded_seconds,
-              threaded_wps);
-
-  const bool identical =
-      reports_bit_identical(serial_reports, threaded_reports);
+  std::printf("# %d paired reps: serial %.2f windows/s, %zu threads %.2f "
+              "windows/s, median paired speedup %.3f\n",
+              kReps, serial_wps, thread_count, threaded_wps, speedup);
   std::printf("# determinism: %s\n",
               identical ? "bit-identical" : "MISMATCH");
 
@@ -103,18 +129,18 @@ int main() {
   bench::write_provenance(json);
   std::fprintf(json,
                "  \"workload\": {\"records\": %zu, \"windows_per_record\": "
-               "%zu, \"window\": %zu, \"measurements\": %zu},\n",
-               records, windows, config.window, config.measurements);
+               "%zu, \"window\": %zu, \"measurements\": %zu, \"reps\": "
+               "%d},\n",
+               records, windows, config.window, config.measurements, kReps);
   std::fprintf(json,
-               "  \"optimized_serial\": {\"seconds\": %.4f, "
+               "  \"optimized_serial\": {\"median_seconds\": %.4f, "
                "\"windows_per_sec\": %.3f},\n",
                serial_seconds, serial_wps);
   std::fprintf(json,
-               "  \"optimized_threads\": {\"threads\": %zu, \"seconds\": "
-               "%.4f, \"windows_per_sec\": %.3f},\n",
+               "  \"optimized_threads\": {\"threads\": %zu, "
+               "\"median_seconds\": %.4f, \"windows_per_sec\": %.3f},\n",
                thread_count, threaded_seconds, threaded_wps);
-  std::fprintf(json, "  \"speedup_threads_vs_serial\": %.3f,\n",
-               threaded_wps / serial_wps);
+  std::fprintf(json, "  \"speedup_threads_vs_serial\": %.3f,\n", speedup);
   std::fprintf(json, "  \"bit_identical_across_threads\": %s\n",
                identical ? "true" : "false");
   std::fprintf(json, "}\n");

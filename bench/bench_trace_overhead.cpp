@@ -72,13 +72,6 @@ void arm(const Arm& a) {
   obs::ledger_reset();
 }
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2]
-                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
 }  // namespace
 
 int main() {
@@ -135,8 +128,8 @@ int main() {
     for (int rep = 0; rep < kReps; ++rep) {
       ratios.push_back(seconds[a][rep] / seconds[0][rep]);
     }
-    overhead[a] = (median(ratios) - 1.0) * 100.0;
-    median_seconds[a] = median(seconds[a]);
+    overhead[a] = (bench::median(ratios) - 1.0) * 100.0;
+    median_seconds[a] = bench::median(seconds[a]);
   }
   const auto wps = [&](std::size_t a) {
     return static_cast<double>(total_windows) / median_seconds[a];

@@ -82,13 +82,18 @@ class SyntheticDatabase {
  public:
   explicit SyntheticDatabase(RecordConfig config = {},
                              std::uint64_t seed = 2015);
+  // Readers hold references into the cache, so a database stays put.
+  SyntheticDatabase(const SyntheticDatabase&) = delete;
+  SyntheticDatabase& operator=(const SyntheticDatabase&) = delete;
 
   /// Number of records (always 48, matching MIT-BIH).
   std::size_t size() const noexcept;
 
   /// Record by index; generated on first access and cached.  Thread-safe
-  /// (the parallel experiment runner pulls records from pool workers).
-  /// Throws std::invalid_argument if index ≥ size().
+  /// (the parallel experiment runner pulls records from pool workers):
+  /// distinct records generate concurrently, and a record's readers wait
+  /// for its one generation.  Throws std::invalid_argument if index ≥
+  /// size().
   const EcgRecord& record(std::size_t index) const;
 
   /// Record name by index (no generation cost).
@@ -97,10 +102,15 @@ class SyntheticDatabase {
   const RecordConfig& config() const noexcept { return config_; }
 
  private:
+  /// One record's cache entry, filled once.
+  struct Slot {
+    std::once_flag generated;
+    std::unique_ptr<EcgRecord> record;
+  };
+
   RecordConfig config_;
   std::uint64_t seed_;
-  mutable std::mutex cache_mutex_;
-  mutable std::vector<std::unique_ptr<EcgRecord>> cache_;
+  std::unique_ptr<Slot[]> cache_;  // Slots fill through the const record().
 };
 
 /// Extracts `count` non-overlapping analysis windows of `length` samples,

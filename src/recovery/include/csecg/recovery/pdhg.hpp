@@ -37,7 +37,7 @@ struct BoxConstraint {
 /// PDHG options.
 ///
 /// The step sizes, the over-relaxation, the primal weight that balances
-/// them and the certificate cadence are not options: the steps come from
+/// them and the projection cadence are not options: the steps come from
 /// ‖Φ‖ and the row sums of K = [Φ; I], and the primal weight adapts to the
 /// problem's own primal and dual scales (see solve_bpdn).
 struct PdhgOptions {
@@ -72,8 +72,8 @@ void validate(const PdhgOptions& options);
 struct PdhgResult {
   linalg::Vector x;        ///< Recovered sample-domain signal.
   int iterations = 0;
-  /// Certified: relative gap ≤ tol and feasible, checked at the exit
-  /// iterate.
+  /// Certified: relative gap ≤ tol and feasible, checked at the returned
+  /// x (the exit iterate or its box projection).
   bool converged = false;
   double objective = 0.0;  ///< ‖Ψᵀx‖₁ at exit.
   /// Relative duality gap at exit, against the better of the scaled and
@@ -88,9 +88,10 @@ struct PdhgResult {
 /// `phi` is the m×n measurement operator, `psi` the n×n orthonormal
 /// synthesis operator (apply = Ψ, apply_adjoint = Ψᵀ), `sigma` the fidelity
 /// radius (≥ 0).  The box, when present, must have matching dimensions and
-/// non-empty cells.  Stops at the first check where the iterate is
-/// certified (see PdhgResult::converged) or at max_iterations.  Throws
-/// std::invalid_argument on dimension errors.
+/// non-empty cells.  Stops at the first iterate that is certified (see
+/// PdhgResult::converged), or, checked every 10th iteration, at the first
+/// box projection clamp(x, l, u) of an iterate that certifies, or at
+/// max_iterations.  Throws std::invalid_argument on dimension errors.
 PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
                       const linalg::LinearOperator& psi,
                       const linalg::Vector& y, double sigma,

@@ -22,8 +22,8 @@ constexpr double kRelaxation = 1.9;
 // kStepSafety² / ‖K‖² in the preconditioned metric.
 constexpr double kStepSafety = 0.99;
 
-// The gap certificate is evaluated every kCheckEvery iterations (and at
-// the cap).
+// Every kCheckEvery iterations, an iterate that meets the ball but not the
+// box is certified at its projection onto the box.
 constexpr int kCheckEvery = 10;
 
 // Adaptive restarts (PDLP, Applegate et al. 2021).  Every kRestartEvery
@@ -102,6 +102,43 @@ void relax(std::size_t len, const double* __restrict z_new,
     z[i] += kRelaxation * (z_new[i] - z[i]);
     z_sum[i] += z[i];
   }
+}
+
+/// Whether x lies within `tol` of the cell [lo, hi]: the exact test the
+/// certificate applies to each sample.
+bool within_cell(double x, double lo, double hi, double tol) {
+  return std::max({lo - x, x - hi, 0.0}) <= tol;
+}
+
+/// relax() of the carried Φx, returning ‖u − y‖² of the relaxed u, summed
+/// in index order (as squared_distance sums it).
+double relax_residual(std::size_t m, const double* __restrict u_new,
+                      const double* __restrict y, double* __restrict u,
+                      double* __restrict u_sum) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    u[i] += kRelaxation * (u_new[i] - u[i]);
+    u_sum[i] += u[i];
+    const double d = u[i] - y[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+/// relax() of x, returning how many relaxed samples lie outside their
+/// cell's tolerance (counted in a double, so the loop vectorises).
+double relax_outside_box(std::size_t n, const double* __restrict x_new,
+                         const double* __restrict lower,
+                         const double* __restrict upper,
+                         const double* __restrict tol, double* __restrict x,
+                         double* __restrict x_sum) {
+  double outside = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] += kRelaxation * (x_new[i] - x[i]);
+    x_sum[i] += x[i];
+    outside += within_cell(x[i], lower[i], upper[i], tol[i]) ? 0.0 : 1.0;
+  }
+  return outside;
 }
 
 /// The iterate z = (x, q₁, q₂) with the products the solver carries next
@@ -222,17 +259,20 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   }
 
   // Primal weight ω: the ratio of the dual to the primal scale.  It starts
-  // from the data, PDLP's ‖c‖/‖b‖ read as ‖w‖₂ over the start point's norm
-  // (or ‖y‖/‖Φ‖, the norm of a measurement-consistent x, from a zero
-  // start), so multiplying y, σ and the box by s starts ω at 1/s and the
-  // whole iteration is scale-equivariant.
+  // from the data, half of PDLP's ‖c‖/‖b‖ read as ‖w‖₂ over the start
+  // point's norm (or ‖y‖/‖Φ‖, the norm of a measurement-consistent x, from
+  // a zero start): restarts settle ω near half of that ratio anyway.  So
+  // multiplying y, σ and the box by s starts ω at 1/s and the whole
+  // iteration is scale-equivariant.
   double omega = 1.0;
   {
     double w_norm2 = 0.0;
     for (std::size_t i = 0; i < n; ++i) w_norm2 += weight(i) * weight(i);
     double x_scale = linalg::norm2(x);
     if (x_scale == 0.0 && phi_norm > 0.0) x_scale = linalg::norm2(y) / phi_norm;
-    if (x_scale > 0.0 && w_norm2 > 0.0) omega = std::sqrt(w_norm2) / x_scale;
+    if (x_scale > 0.0 && w_norm2 > 0.0) {
+      omega = std::sqrt(w_norm2) / (2.0 * x_scale);
+    }
   }
   double tau = eta / omega;
   double sigma_ball = eta * omega;
@@ -241,8 +281,9 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   // The iterate carries Ψᵀx, Φx and Kᵀq next to x and q.  All three are
   // linear in the iterate, so the relaxation step, the running sum and a
   // restart to the average update them without an operator call: a solve
-  // applies Φ once per iteration (to the primal prox point) plus once at
-  // the start, and Φᵀ once per iteration.
+  // applies Φ once per iteration (to the primal prox point), once at the
+  // start and once per box projection it tries, and Φᵀ once per
+  // iteration.
   psi.apply_adjoint_into(x, z.coeffs);
   phi.apply_into(x, z.u);
   linalg::Vector& coeffs = z.coeffs;
@@ -262,6 +303,9 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   linalg::Vector kq_new(n);
   linalg::Vector box_dual(box ? n : 0);    // g, the box bound's ℓ1 dual.
   linalg::Vector box_normal(box ? n : 0);  // c = Ψg + Φᵀq₁.
+  linalg::Vector x_proj(box ? n : 0);       // clamp(x, l, u).
+  linalg::Vector coeffs_proj(box ? n : 0);  // Ψᵀx_proj.
+  linalg::Vector u_proj(box ? m : 0);       // Φx_proj.
   // Restart state: the sum of the iterates since the last restart, their
   // average and its ΨᵀKᵀq, and the last restart point.
   Iterate sum(n, m, box ? n : 0);
@@ -271,17 +315,36 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   Iterate anchor = z;
 
   // Feasibility scales: σ (floored by ‖y‖) for the ball, each cell's own
-  // width (floored by the widest) for the box.
+  // width (floored by the widest) for the box, and from them the ball's
+  // and each cell's tolerance.
   const double ball_scale = std::max(sigma, kBallFloor * linalg::norm2(y));
   const double ball_tol = options.feasibility_tol * ball_scale;
   double box_floor = 0.0;
+  linalg::Vector box_tol(box ? n : 0);
   if (box) {
     double widest = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       widest = std::max(widest, box->upper[i] - box->lower[i]);
     }
     box_floor = kBoxFloor * widest;
+    for (std::size_t i = 0; i < n; ++i) {
+      box_tol[i] = options.feasibility_tol *
+                   std::max(box->upper[i] - box->lower[i], box_floor);
+    }
   }
+  // The certificate's feasibility tests: max(0, ‖Φx − y‖ − σ) ≤ ball_tol
+  // given ‖Φx − y‖², and every sample within its cell's tolerance (always
+  // true without a box).
+  const auto meets_ball = [&](double residual2) {
+    return std::max(0.0, std::sqrt(residual2) - sigma) <= ball_tol;
+  };
+  const auto within_box = [&](const linalg::Vector& v) {
+    bool inside = true;
+    for (std::size_t i = 0; i < box_tol.size(); ++i) {
+      inside &= within_cell(v[i], box->lower[i], box->upper[i], box_tol[i]);
+    }
+    return inside;
+  };
   double max_weight = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     max_weight = std::max(max_weight, weight(i));
@@ -330,14 +393,20 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   };
 
   PdhgResult result;
-  // The certificate at the current iterate (x, q); `last` marks the exit
-  // check.  Ψᵀx is carried, and ΨᵀKᵀq = (Ψᵀx − Ψᵀ(x − τKᵀq))/τ comes from
-  // the primal step's own Ψᵀ product, so the scaled bound applies no
-  // operator; the box bound applies Ψ once, and only where it can decide
-  // the outcome.  The check writes nothing the iteration reads.
-  const auto certify = [&](bool last) {
+  // The certificate of the point (px, Ψᵀpx, Φpx) against the current dual
+  // q: the iterate itself, or its box projection.  ΨᵀKᵀq = (Ψᵀx −
+  // Ψᵀ(x − τKᵀq))/τ comes from the primal step's own Ψᵀ product, so the
+  // scaled bound applies no operator; the box bound applies Ψ once, and
+  // only where it can decide the outcome.  The check writes nothing the
+  // iteration reads.
+  const auto certify = [&](int it, const linalg::Vector& px,
+                           const linalg::Vector& pcoeffs,
+                           const linalg::Vector& pu) {
+    obs::trace_instant("solver.pdhg.check", "solver", "iteration",
+                       static_cast<std::uint64_t>(it));
+    const bool last = it == options.max_iterations;
     result.ball_violation =
-        std::max(0.0, std::sqrt(squared_distance(u, y)) - sigma);
+        std::max(0.0, std::sqrt(squared_distance(pu, y)) - sigma);
     bool feasible = result.ball_violation <= ball_tol;
     double box_viol = 0.0;
     double box_support = 0.0;  // Σᵢ max(lᵢq₂ᵢ, uᵢq₂ᵢ).
@@ -345,10 +414,9 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
       for (std::size_t i = 0; i < n; ++i) {
         const double lo = box->lower[i];
         const double hi = box->upper[i];
-        const double viol = std::max({lo - x[i], x[i] - hi, 0.0});
+        const double viol = std::max({lo - px[i], px[i] - hi, 0.0});
         box_viol = std::max(box_viol, viol);
-        feasible = feasible && viol <= options.feasibility_tol *
-                                           std::max(hi - lo, box_floor);
+        feasible = feasible && viol <= box_tol[i];
         box_support += std::max(lo * q2[i], hi * q2[i]);
       }
     }
@@ -361,7 +429,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     double scale = 1.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double w = weight(i);
-      primal += w * std::abs(coeffs[i]);
+      primal += w * std::abs(pcoeffs[i]);
       const double g = std::abs(coeffs[i] - step_coeffs[i]) / tau;
       if (g > w * scale) {
         scale = w > 0.0 ? g / w : std::numeric_limits<double>::infinity();
@@ -375,9 +443,9 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     // x has Σwᵢ|(Ψᵀx)ᵢ| ≥ ⟨g, Ψᵀx⟩ = ⟨c, x⟩ − ⟨q₁, Φx⟩
     // ≥ Σᵢ min(lᵢcᵢ, uᵢcᵢ) − ⟨q₁, y⟩ − σ‖q₁‖.  It needs no rescaling of q
     // (a zero weight just forces gᵢ = 0).  It costs a Ψ product, so it is
-    // evaluated only at a feasible iterate (where it can certify, or tighten
-    // the reported gap of an exit) and at the last check.  A NaN bound
-    // (0·∞ on an unbounded cell) loses the std::max below.
+    // evaluated only at a feasible point (where it can certify, or tighten
+    // the reported gap of an exit) and at the cap.  A NaN bound (0·∞ on an
+    // unbounded cell) loses the std::max below.
     if (box && (feasible || last)) {
       for (std::size_t i = 0; i < n; ++i) {
         const double w = weight(i);
@@ -397,6 +465,22 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     result.converged = feasible && result.gap <= options.tol;
   };
 
+  // The box projection x_c = clamp(x, l, u) of an iterate that meets the
+  // ball but not the box.  Every optimum lies in the box, so x_c is no
+  // further from any of them than x; it meets the box exactly, and it
+  // costs Φx_c, then (if it still meets the ball) Ψᵀx_c and the box
+  // bound's Ψ product.  Returns whether it certifies.
+  const auto certify_projection = [&](int it) {
+    for (std::size_t i = 0; i < n; ++i) {
+      x_proj[i] = std::clamp(x[i], box->lower[i], box->upper[i]);
+    }
+    phi.apply_into(x_proj, u_proj);
+    if (!meets_ball(squared_distance(u_proj, y))) return false;
+    psi.apply_adjoint_into(x_proj, coeffs_proj);
+    certify(it, x_proj, coeffs_proj, u_proj);
+    return result.converged;
+  };
+
   // Restart bookkeeping: the epoch's first iteration, the KKT error at its
   // start and at the previous evaluation's candidate.
   int epoch_start = 0;
@@ -410,7 +494,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
   // fires.  A restart moves ω halfway in log space towards the observed
   // ratio, ω ← √(ω·‖Δq‖/‖Δx‖), with Δ taken between restart points and
   // the dual blocks in their own metric; then it recomputes the primal
-  // step argument.
+  // step argument.  Returns whether the average replaced the iterate.
   const auto maybe_restart = [&](int it) {
     for (std::size_t i = 0; i < n; ++i) {
       current_r[i] = (coeffs[i] - step_coeffs[i]) / tau;
@@ -418,7 +502,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     const double current_error = kkt_error(z, current_r.data());
     if (averaged == 0) {
       restart_error = current_error;
-      return;
+      return false;
     }
     average.assign_scaled(sum, 1.0 / static_cast<double>(averaged));
     psi.apply_adjoint_into(average.kq, average_r);
@@ -432,7 +516,7 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
         it - epoch_start >= kArtificial * static_cast<double>(it);
     if (!restart) {
       previous_error = candidate;
-      return;
+      return false;
     }
     if (to_average) std::swap(z, average);
     const double dx = std::sqrt(squared_distance(x, anchor.x));
@@ -453,21 +537,39 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     previous_error = std::numeric_limits<double>::infinity();
     primal_step(n, tau, x.data(), kq.data(), step_point.data());
     psi.apply_adjoint_into(step_point, step_coeffs);
+    return to_average;
   };
+
+  // The feasibility screen of the current iterate: ‖Φx − y‖² and whether
+  // every sample lies within its cell's tolerance.  The relax passes keep
+  // it current at no extra pass, and it decides feasibility exactly as the
+  // certificate does, so the certificate runs at every iterate that can
+  // pass it, and at no other except the cap.
+  double residual2 = squared_distance(u, y);
+  bool inside = within_box(x);
+  bool projected = false;  // The solve stopped at x_proj.
 
   for (int it = 0;; ++it) {
     // Primal step argument, in the coefficient domain.
     primal_step(n, tau, x.data(), kq.data(), step_point.data());
     psi.apply_adjoint_into(step_point, step_coeffs);
-    if (it % kRestartEvery == 0) maybe_restart(it);
-    if (it == options.max_iterations || (it > 0 && it % kCheckEvery == 0)) {
-      obs::trace_instant("solver.pdhg.check", "solver", "iteration",
-                         static_cast<std::uint64_t>(it));
-      certify(it == options.max_iterations);
-      if (result.converged || it == options.max_iterations) {
+    if (it % kRestartEvery == 0 && maybe_restart(it)) {
+      residual2 = squared_distance(u, y);
+      inside = within_box(x);
+    }
+    const bool last = it == options.max_iterations;
+    const bool ball_ok = meets_ball(residual2);
+    if (last || (ball_ok && inside)) {
+      certify(it, x, coeffs, u);
+      if (result.converged || last) {
         result.iterations = it;
         break;
       }
+    } else if (ball_ok && it > 0 && it % kCheckEvery == 0 &&
+               certify_projection(it)) {  // Off the box, so there is one.
+      result.iterations = it;
+      projected = true;
+      break;
     }
 
     // x̃ = prox_{τ‖WΨᵀ·‖₁}(x − τKᵀq) = Ψ·soft(Ψᵀ(x − τKᵀq), τw).
@@ -488,24 +590,30 @@ PdhgResult solve_bpdn(const linalg::LinearOperator& phi,
     phi.apply_adjoint_into(q1_new, kq_new);
 
     // Over-relaxation z ← z + ρ(z̃ − z) of the iterate and of its carried
-    // products, each relaxed value also added to the running sum.  The box
+    // products, each relaxed value also added to the running sum; the
+    // passes over Φx and x also refresh the feasibility screen.  The box
     // block's q̃₂ reads the x before the relaxation and completes
     // kq_new = Φᵀq̃₁ + q̃₂.
-    relax(m, u_new.data(), u.data(), sum.u.data());
+    residual2 = relax_residual(m, u_new.data(), y.data(), u.data(),
+                               sum.u.data());
     relax(m, q1_new.data(), q1.data(), sum.q1.data());
     if (box) {
       box_step(n, sigma_box, box->lower.data(), box->upper.data(),
                x_new.data(), x.data(), q2.data(), sum.q2.data(),
                kq_new.data());
+      inside = relax_outside_box(n, x_new.data(), box->lower.data(),
+                                 box->upper.data(), box_tol.data(), x.data(),
+                                 sum.x.data()) == 0.0;
+    } else {
+      relax(n, x_new.data(), x.data(), sum.x.data());
     }
-    relax(n, x_new.data(), x.data(), sum.x.data());
     relax(n, coeffs_new.data(), coeffs.data(), sum.coeffs.data());
     relax(n, kq_new.data(), kq.data(), sum.kq.data());
     ++averaged;
   }
 
-  result.objective = linalg::norm1(coeffs);
-  result.x = std::move(x);
+  result.objective = linalg::norm1(projected ? coeffs_proj : coeffs);
+  result.x = std::move(projected ? x_proj : x);
 
   static obs::Counter& solves = obs::counter("solver.pdhg.solves");
   static obs::Counter& iterations = obs::counter("solver.pdhg.iterations");

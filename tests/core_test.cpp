@@ -455,22 +455,17 @@ TEST_F(FrontEndTest, SigmaScaleZeroStillDecodes) {
                 metrics::prd_zero_mean(test_window(), result.x)),
             10.0);
 }
-TEST(ReferenceQuality, DesignPointWindowsMatchATightReference) {
-  // run_report's window set (8 records × 2 windows, 30 s records, seed
-  // 2015, n=256, m=48, db4/4, cap 400) decoded at the default tolerances
-  // and again at tol = feasibility_tol = 10⁻⁷ with a 100k cap.  Every
-  // reference must certify, and every default window must be within
-  // 0.05 dB SNR of its reference: a change that stops the solver on a
-  // worse point shows up here, not only as a move against the last
-  // ledgers.
+/// Decodes run_report's window set (8 records × 2 windows of 30 s records,
+/// seed 2015) under `config` at its own tolerances and again at tol =
+/// feasibility_tol = 10⁻⁷ with a 100k cap.  Every reference must certify,
+/// and every default window must be within 0.05 dB SNR of its reference:
+/// a change that stops the solver on a worse point shows up here, not only
+/// as a move against the last ledgers.  Prints the mean iterations at the
+/// default tolerances and the max and mean |ΔSNR|.
+void expect_windows_match_a_tight_reference(const FrontEndConfig& config) {
   ecg::RecordConfig record_config;
   record_config.duration_seconds = 30.0;
   const ecg::SyntheticDatabase database(record_config, 2015);
-  FrontEndConfig config;
-  config.window = 256;
-  config.measurements = 48;
-  config.wavelet_levels = 4;
-  config.solver.max_iterations = 400;
   const coding::DeltaHuffmanCodec lowres =
       train_lowres_codec(config, database, 3, 3);
   FrontEndConfig tight = config;
@@ -484,6 +479,7 @@ TEST(ReferenceQuality, DesignPointWindowsMatchATightReference) {
     return metrics::snr_from_prd(metrics::prd_zero_mean(window, x));
   };
   int windows = 0;
+  int iterations = 0;
   double max_delta = 0.0;
   double sum_delta = 0.0;
   for (std::size_t r = 0; r < 8; ++r) {
@@ -498,14 +494,34 @@ TEST(ReferenceQuality, DesignPointWindowsMatchATightReference) {
       const double delta = snr(window, got.x) - snr(window, want.x);
       EXPECT_LE(std::abs(delta), 0.05) << "record " << r << ", window "
                                        << windows;
+      iterations += got.solver.iterations;
       max_delta = std::max(max_delta, std::abs(delta));
       sum_delta += std::abs(delta);
       ++windows;
     }
   }
   EXPECT_EQ(windows, 16);
-  std::printf("[ reference ] %d windows: max |dSNR| %.4f dB, mean %.4f dB\n",
-              windows, max_delta, sum_delta / windows);
+  std::printf("[ reference ] n=%zu, m=%zu: %d windows, mean %.1f iterations: "
+              "max |dSNR| %.4f dB, mean %.4f dB\n",
+              config.window, config.measurements, windows,
+              static_cast<double>(iterations) / windows, max_delta,
+              sum_delta / windows);
+}
+
+TEST(ReferenceQuality, DesignPointWindowsMatchATightReference) {
+  // run_report's settings: n=256, m=48, db4/4, cap 400.
+  FrontEndConfig config;
+  config.window = 256;
+  config.measurements = 48;
+  config.wavelet_levels = 4;
+  config.solver.max_iterations = 400;
+  expect_windows_match_a_tight_reference(config);
+}
+
+TEST(ReferenceQuality, PaperDesignPointWindowsMatchATightReference) {
+  // The paper's design point (n=512, m=96, db4/5) under the default solver
+  // settings, cap 2000 included.
+  expect_windows_match_a_tight_reference(FrontEndConfig{});
 }
 
 }  // namespace

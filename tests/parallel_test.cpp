@@ -14,6 +14,7 @@
 
 #include "csecg/core/frontend.hpp"
 #include "csecg/core/runner.hpp"
+#include "csecg/ecg/record.hpp"
 #include "csecg/link/session.hpp"
 #include "csecg/parallel/thread_pool.hpp"
 
@@ -209,6 +210,28 @@ void expect_bit_identical(const std::vector<Report>& serial,
       EXPECT_EQ(qa.outlier, qb.outlier);
       same_window(serial[r].windows[w], threaded[r].windows[w]);
     }
+  }
+}
+
+TEST(SyntheticDatabase, RecordsReadFromAPoolMatchASerialRead) {
+  // A fresh database read from four workers — several of them asking for
+  // the same record at once, others for distinct records — hands out the
+  // same samples as a serial read of another fresh database, and every
+  // reader of one index gets the one cached record.
+  ecg::RecordConfig record_config;
+  record_config.duration_seconds = 4.0;
+  const ecg::SyntheticDatabase pooled(record_config, 2015);
+  const ecg::SyntheticDatabase serial(record_config, 2015);
+  constexpr std::size_t kRecords = 12;
+  parallel::ThreadPool pool(4);
+  const auto records = pool.parallel_map<const ecg::EcgRecord*>(
+      4 * kRecords,
+      [&](std::size_t i) { return &pooled.record(i % kRecords); });
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t index = i % kRecords;
+    EXPECT_EQ(records[i], &pooled.record(index)) << "read " << i;
+    EXPECT_EQ(records[i]->samples, serial.record(index).samples)
+        << "record " << index;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "csecg/linalg/matrix.hpp"
@@ -603,6 +604,150 @@ TEST(Pdhg, CertificateDoesNotMoveTheIterates) {
   EXPECT_EQ(std::memcmp(capped.x.data(), stopped.x.data(),
                         stopped.x.size() * sizeof(double)),
             0);
+}
+
+/// boxed_problem(1.0) with a loose ball (σ = 0.3), so the box binds at the
+/// optimum and iterates that meet the ball stray outside the box.
+BoxedProblem binding_box_problem() {
+  BoxedProblem p = boxed_problem(1.0);
+  p.sigma = 0.3;
+  return p;
+}
+
+/// `inner`, counting its forward products in `calls`.
+LinearOperator counting_phi(const LinearOperator& inner, int& calls) {
+  return LinearOperator(
+      inner.rows(), inner.cols(),
+      [&inner, &calls](const Vector& x) {
+        ++calls;
+        return inner.apply(x);
+      },
+      [&inner](const Vector& q) { return inner.apply_adjoint(q); },
+      [&inner, &calls](const Vector& x, Vector& out) {
+        ++calls;
+        inner.apply_into(x, out);
+      },
+      [&inner](const Vector& q, Vector& out) {
+        inner.apply_adjoint_into(q, out);
+      });
+}
+
+// The solver's projection cadence (kCheckEvery in pdhg.cpp).
+constexpr int kProjectEvery = 10;
+
+TEST(Pdhg, CertifiedBoxProjectionIsReturnedExactly) {
+  // When the iterate meets the ball but not the box, the solve certifies
+  // clamp(x, l, u) instead.  What it returns is then that point: inside the
+  // box exactly, with every reported figure recomputed from it.
+  const BoxedProblem p = binding_box_problem();
+  const auto phi = LinearOperator::from_matrix(p.a);
+  const auto psi = LinearOperator::identity(128);
+  const PdhgResult res = solve_bpdn(phi, psi, p.y, p.sigma, p.box);
+  ASSERT_TRUE(res.converged);
+  // The stop was at a projection: on the cadence, and the iterate itself,
+  // from an uncertifiable solve capped there, lies outside the box.
+  EXPECT_EQ(res.iterations % kProjectEvery, 0);
+  PdhgOptions uncertifiable;
+  uncertifiable.tol = 1e-12;
+  uncertifiable.max_iterations = res.iterations;
+  const PdhgResult iterate =
+      solve_bpdn(phi, psi, p.y, p.sigma, p.box, uncertifiable);
+  ASSERT_GT(iterate.box_violation, 0.0);
+
+  for (std::size_t i = 0; i < res.x.size(); ++i) {
+    EXPECT_GE(res.x[i], p.box.lower[i]) << "sample " << i;
+    EXPECT_LE(res.x[i], p.box.upper[i]) << "sample " << i;
+  }
+  EXPECT_EQ(res.box_violation, 0.0);
+  const double ball = std::max(
+      0.0, linalg::norm2(linalg::multiply(p.a, res.x) - p.y) - p.sigma);
+  EXPECT_NEAR(res.ball_violation, ball, 1e-12 * linalg::norm2(p.y));
+  EXPECT_NEAR(res.objective, linalg::norm1(res.x), 1e-12 * res.objective);
+  EXPECT_LE(res.gap, PdhgOptions{}.tol);
+}
+
+TEST(Pdhg, StopsAtTheFirstCertifiedIterate) {
+  // Every iterate that passes the certificate is checked: capped one
+  // iteration short of where it stopped, a solve ends uncertified — with a
+  // box (stopping at the iterate, and at its projection) and without.
+  struct Case {
+    BoxedProblem problem;
+    bool boxed;
+  };
+  const Case cases[] = {{boxed_problem(1.0), true},
+                        {binding_box_problem(), true},
+                        {boxed_problem(1.0), false}};
+  for (const Case& c : cases) {
+    const BoxedProblem& p = c.problem;
+    const auto phi = LinearOperator::from_matrix(p.a);
+    const auto psi = LinearOperator::identity(128);
+    const std::optional<BoxConstraint> box =
+        c.boxed ? std::optional<BoxConstraint>(p.box) : std::nullopt;
+    const PdhgResult stopped = solve_bpdn(phi, psi, p.y, p.sigma, box);
+    ASSERT_TRUE(stopped.converged) << "sigma " << p.sigma;
+    ASSERT_GT(stopped.iterations, 0);
+    PdhgOptions short_cap;
+    short_cap.max_iterations = stopped.iterations - 1;
+    const PdhgResult capped = solve_bpdn(phi, psi, p.y, p.sigma, box,
+                                         short_cap);
+    EXPECT_FALSE(capped.converged)
+        << "sigma " << p.sigma << ", boxed " << c.boxed << ": certified at "
+        << capped.iterations << ", stopped at " << stopped.iterations;
+  }
+}
+
+TEST(Pdhg, ProjectsOnlyOnTheCadenceAndNeverAtTheCap) {
+  // Each projection applies Φ once.  On an uncertifiable solve, one more
+  // iteration adds one Φ product, plus one when the iteration it passes
+  // (the old cap) is on the cadence and tries a projection: none off the
+  // cadence, none at the cap itself, and some on it.
+  const BoxedProblem p = binding_box_problem();
+  const auto inner = LinearOperator::from_matrix(p.a);
+  const auto psi = LinearOperator::identity(128);
+  PdhgOptions options;
+  options.tol = 1e-12;
+  options.phi_norm_hint = linalg::operator_norm_estimate(inner, 60);
+  const auto phi_calls = [&](int cap) {
+    int calls = 0;
+    options.max_iterations = cap;
+    const PdhgResult res = solve_bpdn(counting_phi(inner, calls), psi, p.y,
+                                      p.sigma, p.box, options);
+    EXPECT_EQ(res.iterations, cap);
+    return calls;
+  };
+  int projections = 0;
+  int previous = phi_calls(1);
+  EXPECT_EQ(previous, 2);
+  for (int cap = 1; cap < 120; ++cap) {
+    const int calls = phi_calls(cap + 1);
+    if (cap % kProjectEvery != 0) {
+      EXPECT_EQ(calls - previous, 1) << "cap " << cap;
+    } else {
+      EXPECT_GE(calls - previous, 1) << "cap " << cap;
+      EXPECT_LE(calls - previous, 2) << "cap " << cap;
+      projections += calls - previous - 1;
+    }
+    previous = calls;
+  }
+  EXPECT_GT(projections, 0);
+}
+
+TEST(Pdhg, BoxedSolvePaysOnePhiProductPerProjectionAtMost) {
+  // A boxed solve applies Φ once per iteration, once at the start and at
+  // most once per projection attempt, so at most ⌊iterations/10⌋ more.
+  for (const BoxedProblem& p : {boxed_problem(1.0), binding_box_problem()}) {
+    const auto inner = LinearOperator::from_matrix(p.a);
+    PdhgOptions options;
+    options.phi_norm_hint = linalg::operator_norm_estimate(inner, 60);
+    int calls = 0;
+    const PdhgResult res =
+        solve_bpdn(counting_phi(inner, calls), LinearOperator::identity(128),
+                   p.y, p.sigma, p.box, options);
+    ASSERT_TRUE(res.converged);
+    EXPECT_GE(calls, res.iterations + 1) << "sigma " << p.sigma;
+    EXPECT_LE(calls, res.iterations + 1 + res.iterations / kProjectEvery)
+        << "sigma " << p.sigma;
+  }
 }
 
 // ---------------------------------------------------------------------------
